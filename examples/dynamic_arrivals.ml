@@ -53,7 +53,7 @@ let () =
             ~init:(Core.Loads.flat ~n ~value:0) ()
         in
         let spark =
-          Core.Metrics.sparkline
+          Viz.Plots.sparkline
             (Array.map (fun (_, disc) -> float_of_int disc) r.E.discrepancy_series)
             ~width:40
         in
@@ -104,7 +104,7 @@ let () =
   Printf.printf
     "Flash crowd: %d tokens dumped on node 0 at round %d over quiet Poisson\n\
      traffic (λ = 16).  Discrepancy:\n\n  %s\n\n" size at
-    (Core.Metrics.sparkline
+    (Viz.Plots.sparkline
        (Array.map (fun (_, disc) -> float_of_int disc) r.E.discrepancy_series)
        ~width:72);
   (match S.absorb_time ~series:r.E.discrepancy_series ~at ~band with

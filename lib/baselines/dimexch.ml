@@ -58,14 +58,7 @@ let balance_pair ~excess_to_u loads u v =
     loads.(v) <- lo + rem
   end
 
-let scan_discrepancy loads =
-  let lo = ref loads.(0) and hi = ref loads.(0) in
-  Array.iter
-    (fun x ->
-      if x < !lo then lo := x;
-      if x > !hi then hi := x)
-    loads;
-  !hi - !lo
+let scan_discrepancy loads = fst (Core.Engine.scan loads)
 
 let run ?(sample_every = 1) ?stop_at_discrepancy mode g ~init ~steps =
   let n = Graphs.Graph.n g in

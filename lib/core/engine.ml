@@ -9,7 +9,50 @@ type result = {
   fairness : Fairness.report option;
 }
 
-let scan_discrepancy_and_min loads =
+let assign_checked (b : Balancer.t) ~step ~node ~load ~ports =
+  b.assign ~step ~node ~load ~ports;
+  let d = b.degree in
+  let sent = ref 0 and kept = ref 0 in
+  for k = 0 to d - 1 do
+    let p = ports.(k) in
+    if p < 0 then
+      raise
+        (Invariant_violation
+           (Printf.sprintf "%s: node %d step %d sends %d (< 0) on original port %d"
+              b.name node step p k));
+    sent := !sent + p
+  done;
+  for k = d to Balancer.d_plus b - 1 do
+    kept := !kept + ports.(k)
+  done;
+  if !sent + !kept <> load then
+    raise
+      (Invariant_violation
+         (Printf.sprintf "%s: node %d step %d assigned %d tokens of load %d" b.name
+            node step (!sent + !kept) load));
+  !kept
+
+let scatter (b : Balancer.t) ~tracker ~step ~nodes ~loads ~targets ~acc ~ports =
+  let d = b.degree in
+  let moved = ref 0 in
+  for i = 0 to Array.length nodes - 1 do
+    let u = nodes.(i) in
+    let x = loads.(u) in
+    let kept = assign_checked b ~step ~node:u ~load:x ~ports in
+    (match tracker with
+    | Some tr -> Fairness.observe tr ~node:u ~load:x ~ports
+    | None -> ());
+    let base = i * d in
+    for k = 0 to d - 1 do
+      let j = targets.(base + k) in
+      acc.(j) <- acc.(j) + ports.(k)
+    done;
+    acc.(i) <- acc.(i) + kept;
+    moved := !moved + (x - kept)
+  done;
+  !moved
+
+let scan loads =
   let lo = ref loads.(0) and hi = ref loads.(0) in
   for i = 1 to Array.length loads - 1 do
     let x = loads.(i) in
@@ -35,18 +78,19 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
       Some (Fairness.create ~degree:d ~self_loops:balancer.Balancer.self_loops ~n)
     else None
   in
+  (* The one-shard case of [scatter]: every node is local, and its port
+     targets are the adjacency itself. *)
+  let nodes = Array.init n Fun.id in
   let adj = Graphs.Graph.adjacency graph in
-  (* Probes only read; with them disabled this costs one branch per
-     node, and either way the dynamics are untouched (bit-identical
-     results — property-tested in test_obs.ml). *)
+  (* Probes only read; either way the dynamics are untouched
+     (bit-identical results — property-tested in test_obs.ml). *)
   let probing = Obs.Probe.enabled () in
-  let moved = ref 0 in
   let cur = ref (Array.copy init) in
   let next = ref (Array.make n 0) in
   let ports = Array.make dp 0 in
   let series = ref [] in
   let reached = ref None in
-  let d0, m0 = scan_discrepancy_and_min !cur in
+  let d0, m0 = scan !cur in
   let min_seen = ref m0 in
   series := (0, d0) :: !series;
   (match stop_at_discrepancy with
@@ -57,54 +101,21 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
      for t = 1 to steps do
        if !reached <> None && stop_at_discrepancy <> None then raise Exit;
        let sp = Obs.Prof.start "core.assign" in
-       moved := 0;
-       let cur_a = !cur and next_a = !next in
+       let next_a = !next in
        Array.fill next_a 0 n 0;
-       for u = 0 to n - 1 do
-         let x = cur_a.(u) in
-         balancer.Balancer.assign ~step:t ~node:u ~load:x ~ports;
-         (* Inline validation: conservation and non-negative sends. *)
-         let sum = ref 0 in
-         for k = 0 to dp - 1 do
-           sum := !sum + ports.(k);
-           if k < d && ports.(k) < 0 then
-             raise
-               (Invariant_violation
-                  (Printf.sprintf
-                     "%s: node %d step %d sends %d (< 0) on original port %d"
-                     balancer.Balancer.name u t ports.(k) k))
-         done;
-         if !sum <> x then
-           raise
-             (Invariant_violation
-                (Printf.sprintf
-                   "%s: node %d step %d assigned %d tokens of load %d"
-                   balancer.Balancer.name u t !sum x));
-         (match tracker with
-          | Some tr -> Fairness.observe tr ~node:u ~load:x ~ports
-          | None -> ());
-         let base = u * d in
-         let kept = ref 0 in
-         for k = 0 to d - 1 do
-           let v = adj.(base + k) in
-           next_a.(v) <- next_a.(v) + ports.(k)
-         done;
-         for k = d to dp - 1 do
-           kept := !kept + ports.(k)
-         done;
-         if probing then moved := !moved + (x - !kept);
-         next_a.(u) <- next_a.(u) + !kept
-       done;
+       let moved =
+         scatter balancer ~tracker ~step:t ~nodes ~loads:!cur ~targets:adj
+           ~acc:next_a ~ports
+       in
        Obs.Prof.stop sp;
-       let tmp = !cur in
-       cur := !next;
-       next := tmp;
+       next := !cur;
+       cur := next_a;
        steps_done := t;
        let sp = Obs.Prof.start "core.scan" in
-       let disc, mn = scan_discrepancy_and_min !cur in
+       let disc, mn = scan !cur in
        Obs.Prof.stop sp;
        if probing then
-         Obs.Probe.on_round ~engine:"core" ~d_plus:dp ~step:t ~tokens_moved:!moved
+         Obs.Probe.on_round ~engine:"core" ~d_plus:dp ~step:t ~tokens_moved:moved
            ~discrepancy:disc ~max_load:(mn + disc) ~min_load:mn ~loads:!cur;
        if mn < !min_seen then min_seen := mn;
        if t mod sample_every = 0 || t = steps then series := (t, disc) :: !series;

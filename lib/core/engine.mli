@@ -10,6 +10,43 @@ exception Invariant_violation of string
 (** Raised when a balancer breaks conservation or sends a negative
     token count on an original edge. *)
 
+(** {1 The round kernel}
+
+    One synchronous round, shared by every regular-graph engine
+    ({!run}, [Shard.Shard_engine], [Net.Async_engine], [Dist.Node]):
+    each node splits its load over its d⁺ ports, the split is checked,
+    and the tokens on original ports move.  The engines differ only in
+    where those tokens go. *)
+
+val assign_checked :
+  Balancer.t -> step:int -> node:int -> load:int -> ports:int array -> int
+(** [assign_checked b ~step ~node ~load ~ports] runs [b.assign] for one
+    node into [ports] (length d⁺), checks it, and returns the tokens
+    kept on the self-loop ports.
+    @raise Invariant_violation if an original port gets a negative
+    count or the ports do not sum to [load]. *)
+
+val scatter :
+  Balancer.t ->
+  tracker:Fairness.t option ->
+  step:int ->
+  nodes:int array ->
+  loads:int array ->
+  targets:int array ->
+  acc:int array ->
+  ports:int array ->
+  int
+(** [scatter b ~tracker ~step ~nodes ~loads ~targets ~acc ~ports] runs
+    {!assign_checked} for every local node [i] (the node [nodes.(i)],
+    holding [loads.(nodes.(i))]), adds its port [k] into
+    [acc.(targets.(i * d + k))] and its kept tokens into [acc.(i)], and
+    feeds [tracker] if present.  Returns the tokens sent on original
+    ports.  [acc] is not cleared first.
+    @raise Invariant_violation as {!assign_checked}. *)
+
+val scan : int array -> int * int
+(** [(max − min, min)] of a non-empty load vector, in one pass. *)
+
 type result = {
   steps_run : int;
   final_loads : int array;

@@ -200,3 +200,72 @@ let last_step plan =
       in
       max acc upper)
     0 plan
+
+let validate_plan ~who ~n ~d ~horizon plan =
+  List.iter
+    (fun { step; event } ->
+      if step < 1 || step > horizon then
+        invalid_arg
+          (Printf.sprintf "%s: fault at step %d outside [1, %d]" who step horizon);
+      match event with
+      | Crash { node; _ } | Load_shock { node; _ } ->
+        if node < 0 || node >= n then
+          invalid_arg (Printf.sprintf "%s: node %d out of range" who node)
+      | Edge_outage { node; port; last_step } ->
+        if node < 0 || node >= n then
+          invalid_arg (Printf.sprintf "%s: node %d out of range" who node);
+        if port < 0 || port >= d then
+          invalid_arg (Printf.sprintf "%s: port %d out of range" who port);
+        if last_step < step then
+          invalid_arg (who ^ ": outage ends before it starts"))
+    plan
+
+type ledger = { injected : int; lost : int; spilled : int }
+
+let apply ~graph ~instances ~outage ~loads events =
+  let d = Graphs.Graph.degree graph in
+  let adj = Graphs.Graph.adjacency graph in
+  let wipe_state node =
+    List.iter
+      (fun b ->
+        match b.Core.Balancer.persist with
+        | None -> ()
+        | Some p ->
+          let s = p.Core.Balancer.state_save () in
+          if s.(node) <> 0 then begin
+            s.(node) <- 0;
+            p.Core.Balancer.state_restore s
+          end)
+      instances
+  in
+  let injected = ref 0 and lost = ref 0 and spilled = ref 0 in
+  List.iter
+    (fun event ->
+      match event with
+      | Crash { node; state; tokens } ->
+        let x = loads.(node) in
+        (match tokens with
+        | Lose_tokens ->
+          loads.(node) <- 0;
+          lost := !lost + x
+        | Spill_tokens ->
+          (* Spread as evenly as the integers allow; ports in order
+             absorb the remainder.  Mass is conserved. *)
+          if x > 0 then begin
+            let q = x / d and r = x mod d in
+            let base = node * d in
+            for k = 0 to d - 1 do
+              let v = adj.(base + k) in
+              loads.(v) <- loads.(v) + q + (if k < r then 1 else 0)
+            done;
+            loads.(node) <- 0
+          end;
+          spilled := !spilled + x);
+        (match state with Wipe_state -> wipe_state node | Keep_state -> ())
+      | Edge_outage { node; port; last_step } ->
+        outage ~edge:((node * d) + port) ~until:last_step
+      | Load_shock { node; amount } ->
+        loads.(node) <- loads.(node) + amount;
+        injected := !injected + amount)
+    events;
+  { injected = !injected; lost = !lost; spilled = !spilled }

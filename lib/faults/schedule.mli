@@ -33,7 +33,7 @@ type event =
           undirected edge go down together). *)
   | Load_shock of { node : int; amount : int }
       (** [amount] extra tokens materialize at [node] (an adversarial
-          burst, the fault-shaped cousin of {!Core.Dynamic} injections) *)
+          burst, the fault-shaped cousin of open-system arrivals) *)
 
 type timed = { step : int; event : event }
 
@@ -82,3 +82,33 @@ val events_at : plan -> step:int -> event list
 val last_step : plan -> int
 (** Largest scheduled step, 0 for the empty plan (outage durations
     count: an outage lasting through step 90 reports at least 90). *)
+
+(** {1 Applying a plan}
+
+    Shared by every engine that runs a plan ({!Engine.run},
+    [Net.Async_engine.run]), so a fault means the same thing in each. *)
+
+val validate_plan : who:string -> n:int -> d:int -> horizon:int -> plan -> unit
+(** Check that every event falls in steps [1 .. horizon] and names a
+    node (and port) of an [n]-node, degree-[d] graph, and that no
+    outage ends before it starts.
+    @raise Invalid_argument with a message prefixed by [who]. *)
+
+type ledger = {
+  injected : int;  (** tokens added by load shocks *)
+  lost : int;  (** tokens destroyed by lose-token crashes *)
+  spilled : int;  (** tokens redistributed by spill-token crashes *)
+}
+
+val apply :
+  graph:Graphs.Graph.t ->
+  instances:Core.Balancer.t list ->
+  outage:(edge:int -> until:int -> unit) ->
+  loads:int array ->
+  event list ->
+  ledger
+(** [apply ~graph ~instances ~outage ~loads events] applies one step's
+    events in order: crashes and shocks update [loads] in place, a
+    wiping crash zeroes the node's state in every balancer instance
+    with a persist capability, and each outage of port [k] at node [u]
+    is handed to [outage ~edge:(u * d + k) ~until:last_step]. *)

@@ -36,6 +36,26 @@ let create ?state_range ?(state_sources = []) ?(extra_mass = fun () -> 0) ~name
   { name; never_negative; state_range; state_sources; extra_mass;
     expected = expected_total; checks = 0 }
 
+let for_balancers ~extra_mass instances ~expected_total =
+  match instances with
+  | [] -> invalid_arg "Watchdog.for_balancers: no balancer instances"
+  | b0 :: _ ->
+    create
+      ?state_range:
+        (if String.starts_with ~prefix:"rotor-router" b0.Core.Balancer.name then
+           Some (0, Core.Balancer.d_plus b0)
+         else None)
+      ~state_sources:
+        (List.filter_map
+           (fun b ->
+             Option.map
+               (fun p () -> p.Core.Balancer.state_save ())
+               b.Core.Balancer.persist)
+           instances)
+      ~extra_mass ~name:b0.Core.Balancer.name
+      ~never_negative:b0.Core.Balancer.props.Core.Balancer.never_negative
+      ~expected_total ()
+
 let adjust_expected t delta = t.expected <- t.expected + delta
 let expected_total t = t.expected
 let checks t = t.checks

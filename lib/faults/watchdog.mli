@@ -49,6 +49,14 @@ val create :
     flight on an unreliable network — which the conservation check adds
     to [Σ loads] before comparing against the ledger. *)
 
+val for_balancers :
+  extra_mass:(unit -> int) -> Core.Balancer.t list -> expected_total:int -> t
+(** The monitor for a run of the given balancer instances (one per
+    shard; the first names the run): NL non-negativity from its
+    properties, one state source per instance with a persist
+    capability, and the rotor range [[0, d⁺)] for rotor-router
+    schemes.  @raise Invalid_argument on an empty list. *)
+
 val adjust_expected : t -> int -> unit
 (** Record a legitimate change of total mass (fault ledger: shocks add,
     lost-token crashes subtract) so conservation keeps holding. *)

@@ -6,14 +6,7 @@ type result = {
   series : (int * int) array;
 }
 
-let scan_discrepancy loads =
-  let lo = ref loads.(0) and hi = ref loads.(0) in
-  Array.iter
-    (fun x ->
-      if x < !lo then lo := x;
-      if x > !hi then hi := x)
-    loads;
-  !hi - !lo
+let scan_discrepancy loads = fst (Core.Engine.scan loads)
 
 let run ?(sample_every = 1) ?hook ~graph ~balancer ~init ~steps () =
   let n = Igraph.n graph in

@@ -36,33 +36,6 @@ type report = {
 let conserved r =
   r.drained && r.final_total = r.initial_total + r.injected - r.lost
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let validate_plan ~n ~d ~steps plan =
-  List.iter
-    (fun { Faults.Schedule.step; event } ->
-      if step < 1 || step > max 1 steps then
-        invalid_arg
-          (Printf.sprintf "Net.Async_engine.run: fault at step %d outside [1, %d]"
-             step steps);
-      match event with
-      | Faults.Schedule.Crash { node; _ } | Faults.Schedule.Load_shock { node; _ } ->
-        if node < 0 || node >= n then
-          invalid_arg
-            (Printf.sprintf "Net.Async_engine.run: node %d out of range" node)
-      | Faults.Schedule.Edge_outage { node; port; last_step } ->
-        if node < 0 || node >= n then
-          invalid_arg
-            (Printf.sprintf "Net.Async_engine.run: node %d out of range" node);
-        if port < 0 || port >= d then
-          invalid_arg
-            (Printf.sprintf "Net.Async_engine.run: port %d out of range" port);
-        if last_step < step then
-          invalid_arg "Net.Async_engine.run: outage ends before it starts")
-    plan
-
 let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
     ?(sample_every = 1) ?hook ?on_message ~graph ~balancer ~init ~steps () =
   let n = Graphs.Graph.n graph in
@@ -81,8 +54,10 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
     invalid_arg "Net.Async_engine.run: negative staleness bound";
   if config.max_drain_rounds < 0 then
     invalid_arg "Net.Async_engine.run: negative drain bound";
-  validate_plan ~n ~d ~steps plan;
-  let adj = Graphs.Graph.adjacency graph in
+  (* At least 1: Harness.Openrun rewrites each round's plan slice to
+     step 1. *)
+  Faults.Schedule.validate_plan ~who:"Net.Async_engine.run" ~n ~d
+    ~horizon:(max 1 steps) plan;
   let dp = Core.Balancer.d_plus balancer in
   let emit = match on_message with Some f -> f | None -> fun _ -> () in
   let on_drop ~now ~edge payload =
@@ -105,72 +80,27 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
     if not watchdog then None
     else
       Some
-        (Faults.Watchdog.create
-           ?state_range:
-             (if has_prefix ~prefix:"rotor-router" balancer.Core.Balancer.name
-              then Some (0, dp)
-              else None)
-           ~state_sources:
-             (match balancer.Core.Balancer.persist with
-             | Some p -> [ (fun () -> p.Core.Balancer.state_save ()) ]
-             | None -> [])
+        (Faults.Watchdog.for_balancers
            ~extra_mass:(fun () -> Protocol.in_flight_tokens proto)
-           ~name:balancer.Core.Balancer.name
-           ~never_negative:
-             balancer.Core.Balancer.props.Core.Balancer.never_negative
-           ~expected_total:initial_total ())
+           [ balancer ] ~expected_total:initial_total)
   in
   let injected = ref 0 and lost = ref 0 and spilled = ref 0 in
-  let wipe_state node =
-    match balancer.Core.Balancer.persist with
-    | None -> ()
-    | Some p ->
-      let s = p.Core.Balancer.state_save () in
-      if s.(node) <> 0 then begin
-        s.(node) <- 0;
-        p.Core.Balancer.state_restore s
-      end
-  in
   let cur = Array.copy init in
-  let apply_events ~step events =
-    let ep_injected = ref 0 and ep_lost = ref 0 in
-    List.iter
-      (fun event ->
-        match event with
-        | Faults.Schedule.Crash { node; state; tokens } ->
-          let x = cur.(node) in
-          (match tokens with
-          | Faults.Schedule.Lose_tokens ->
-            cur.(node) <- 0;
-            ep_lost := !ep_lost + x
-          | Faults.Schedule.Spill_tokens ->
-            (* Spilled locally, as in Faults.Engine: the crash handler
-               dumps the node's tokens on its neighbors directly, it
-               does not get to use the network. *)
-            if x > 0 then begin
-              let q = x / d and r = x mod d in
-              let base = node * d in
-              for k = 0 to d - 1 do
-                let v = adj.(base + k) in
-                cur.(v) <- cur.(v) + q + (if k < r then 1 else 0)
-              done;
-              cur.(node) <- 0
-            end;
-            spilled := !spilled + x);
-          (match state with
-          | Faults.Schedule.Wipe_state -> wipe_state node
-          | Faults.Schedule.Keep_state -> ())
-        | Faults.Schedule.Edge_outage { node; port; last_step } ->
-          Channel.set_outage channel ~edge:((node * d) + port) ~until:last_step
-        | Faults.Schedule.Load_shock { node; amount } ->
-          cur.(node) <- cur.(node) + amount;
-          ep_injected := !ep_injected + amount)
-      events;
-    ignore step;
-    injected := !injected + !ep_injected;
-    lost := !lost + !ep_lost;
+  let apply_events events =
+    (* Crash handlers act locally, as in Faults.Engine: a spilling node
+       dumps its tokens on its neighbors directly, not over the network;
+       outages black out channel edges. *)
+    let ep =
+      Faults.Schedule.apply ~graph ~instances:[ balancer ]
+        ~outage:(Channel.set_outage channel) ~loads:cur events
+    in
+    injected := !injected + ep.Faults.Schedule.injected;
+    lost := !lost + ep.Faults.Schedule.lost;
+    spilled := !spilled + ep.Faults.Schedule.spilled;
     match wd with
-    | Some w -> Faults.Watchdog.adjust_expected w (!ep_injected - !ep_lost)
+    | Some w ->
+      Faults.Watchdog.adjust_expected w
+        (ep.Faults.Schedule.injected - ep.Faults.Schedule.lost)
     | None -> ()
   in
   let ports = Array.make dp 0 in
@@ -188,23 +118,14 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
       ~degraded:!degraded ~stalled:!stalled
   in
   let series = ref [] in
-  let scan () =
-    let lo = ref cur.(0) and hi = ref cur.(0) in
-    for i = 1 to n - 1 do
-      let x = cur.(i) in
-      if x < !lo then lo := x;
-      if x > !hi then hi := x
-    done;
-    (!hi - !lo, !lo)
-  in
-  let d0, m0 = scan () in
+  let d0, m0 = Core.Engine.scan cur in
   let min_seen = ref m0 in
   series := (0, d0) :: !series;
   let deliver ~node ~tokens = cur.(node) <- cur.(node) + tokens in
   for t = 1 to steps do
     (match Faults.Schedule.events_at plan ~step:t with
     | [] -> ()
-    | evs -> apply_events ~step:t evs);
+    | evs -> apply_events evs);
     let sp = Obs.Prof.start "net.assign" in
     moved := 0;
     for u = 0 to n - 1 do
@@ -219,30 +140,11 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
       else begin
         if stale then incr degraded;
         let x = cur.(u) in
-        balancer.Core.Balancer.assign ~step:t ~node:u ~load:x ~ports;
-        (* Same inline validation as Core.Engine: conservation and
-           non-negative sends on original ports. *)
-        let sum = ref 0 in
-        for k = 0 to dp - 1 do
-          sum := !sum + ports.(k);
-          if k < d && ports.(k) < 0 then
-            raise
-              (Core.Engine.Invariant_violation
-                 (Printf.sprintf
-                    "%s: node %d step %d sends %d (< 0) on original port %d"
-                    balancer.Core.Balancer.name u t ports.(k) k))
-        done;
-        if !sum <> x then
-          raise
-            (Core.Engine.Invariant_violation
-               (Printf.sprintf "%s: node %d step %d assigned %d tokens of load %d"
-                  balancer.Core.Balancer.name u t !sum x));
-        let kept = ref 0 in
-        for k = d to dp - 1 do
-          kept := !kept + ports.(k)
-        done;
-        if probing then moved := !moved + (x - !kept);
-        cur.(u) <- !kept;
+        let kept =
+          Core.Engine.assign_checked balancer ~step:t ~node:u ~load:x ~ports
+        in
+        if probing then moved := !moved + (x - kept);
+        cur.(u) <- kept;
         for k = 0 to d - 1 do
           if ports.(k) <> 0 then
             Protocol.send proto ~now:t ~node:u ~port:k ~tokens:ports.(k)
@@ -256,7 +158,7 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
     (match wd with
     | Some w -> Faults.Watchdog.check w ~step:t ~loads:cur
     | None -> ());
-    let disc, mn = scan () in
+    let disc, mn = Core.Engine.scan cur in
     if probing then begin
       Obs.Probe.on_round ~engine:"net" ~d_plus:dp ~step:t ~tokens_moved:!moved
         ~discrepancy:disc ~max_load:(mn + disc) ~min_load:mn ~loads:cur;

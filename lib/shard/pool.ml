@@ -99,18 +99,3 @@ let shutdown t =
 let with_pool ~domains f =
   let pool = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-let map t f items =
-  let n = Array.length items in
-  let results = Array.make n None in
-  let cursor = Atomic.make 0 in
-  run t (fun _w ->
-      let rec pull () =
-        let i = Atomic.fetch_and_add cursor 1 in
-        if i < n then begin
-          results.(i) <- Some (f items.(i));
-          pull ()
-        end
-      in
-      pull ());
-  Array.map (function Some v -> v | None -> assert false) results

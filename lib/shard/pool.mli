@@ -1,19 +1,14 @@
 (** A pool of long-lived OCaml 5 domains with barrier-style dispatch.
 
-    One abstraction serves both parallelism levels in this repository:
-
-    - {e replica-level}: independent tasks (one experiment per seed)
-      pulled off a shared queue with {!map} — used by
-      [Harness.Parallel];
-    - {e shard-level}: SPMD steps where every worker must run one phase
-      and all must finish before the next phase starts — {!run} is a
-      dispatch {e and} a barrier, which is exactly the per-step
-      synchronization the sharded engine needs.
+    It drives the sharded engine's SPMD steps, where every worker must
+    run one phase and all must finish before the next phase starts:
+    {!run} is a dispatch {e and} a barrier, which is exactly the
+    per-step synchronization the sharded engine needs.
 
     Workers block on a condition variable between dispatches, so a pool
     can drive millions of fine-grained phases without respawning
-    domains.  [run]/[map] must only be called from the thread that
-    created the pool. *)
+    domains.  [run] must only be called from the thread that created
+    the pool. *)
 
 type t
 
@@ -30,11 +25,6 @@ val run : t -> (int -> unit) -> unit
     participant of the next phase).  If any job raised, the exception of
     the lowest-indexed failing worker is re-raised here — after the
     barrier, so the pool stays usable. *)
-
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Task-parallel map: workers pull items off an atomic cursor.  Order
-    of results matches the input.  Exceptions propagate like {!run}
-    (items after a failure on the same worker are skipped). *)
 
 val shutdown : t -> unit
 (** Stop and join all workers.  Idempotent. *)

@@ -20,15 +20,6 @@ type shard_ctx = {
   mutable moved : int;       (* per-step tokens sent on original ports *)
 }
 
-let scan_discrepancy_and_min loads =
-  let lo = ref loads.(0) and hi = ref loads.(0) in
-  for i = 1 to Array.length loads - 1 do
-    let x = loads.(i) in
-    if x < !lo then lo := x;
-    if x > !hi then hi := x
-  done;
-  (!hi - !lo, !lo)
-
 let build_contexts ~graph ~part ~d ~dp ~audit ~self_loops =
   let shards = part.Partition.shards in
   let adj = Graphs.Graph.adjacency graph in
@@ -163,7 +154,7 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
   let start, series0, min0, reached0 =
     match resume with
     | None ->
-      let d0, m0 = scan_discrepancy_and_min cur in
+      let d0, m0 = Core.Engine.scan cur in
       let reached =
         match stop_at_discrepancy with
         | Some target when d0 <= target -> Some 0
@@ -223,47 +214,11 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
   let steps_done = ref start in
   let phase_assign t w =
     let ctx = ctxs.(w) in
-    let b = balancers.(w) in
-    let assign = b.Core.Balancer.assign in
-    let mine = ctx.mine and targets = ctx.targets in
-    let acc = ctx.acc and ports = ctx.ports in
-    let m = Array.length mine in
-    Array.fill acc 0 (Array.length acc) 0;
-    ctx.moved <- 0;
-    for i = 0 to m - 1 do
-      let u = mine.(i) in
-      let x = cur.(u) in
-      assign ~step:t ~node:u ~load:x ~ports;
-      (* Same invariant enforcement (and messages) as Core.Engine.run. *)
-      let sum = ref 0 in
-      for k = 0 to dp - 1 do
-        sum := !sum + ports.(k);
-        if k < d && ports.(k) < 0 then
-          raise
-            (Core.Engine.Invariant_violation
-               (Printf.sprintf
-                  "%s: node %d step %d sends %d (< 0) on original port %d"
-                  b.Core.Balancer.name u t ports.(k) k))
-      done;
-      if !sum <> x then
-        raise
-          (Core.Engine.Invariant_violation
-             (Printf.sprintf "%s: node %d step %d assigned %d tokens of load %d"
-                b.Core.Balancer.name u t !sum x));
-      (match ctx.tracker with
-      | Some tr -> Core.Fairness.observe tr ~node:u ~load:x ~ports
-      | None -> ());
-      let base = i * d in
-      for k = 0 to d - 1 do
-        acc.(targets.(base + k)) <- acc.(targets.(base + k)) + ports.(k)
-      done;
-      let kept = ref 0 in
-      for k = d to dp - 1 do
-        kept := !kept + ports.(k)
-      done;
-      if probing then ctx.moved <- ctx.moved + (x - !kept);
-      acc.(i) <- acc.(i) + !kept
-    done
+    Array.fill ctx.acc 0 (Array.length ctx.acc) 0;
+    ctx.moved <-
+      Core.Engine.scatter balancers.(w) ~tracker:ctx.tracker ~step:t
+        ~nodes:ctx.mine ~loads:cur ~targets:ctx.targets ~acc:ctx.acc
+        ~ports:ctx.ports
   in
   let phase_merge w =
     let ctx = ctxs.(w) in

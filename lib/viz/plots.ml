@@ -133,3 +133,27 @@ let discrepancy_plot ~series ~labels ?title ?(log_y = false) () =
     |> List.concat
   in
   Svg.document ~width ~height:(height +. y0) (header @ axes @ curves @ legend)
+
+let blocks = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
+                "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |]
+
+let sparkline ?width series =
+  let len = Array.length series in
+  if len = 0 then ""
+  else begin
+    let width = match width with Some w -> max 1 w | None -> min len 60 in
+    let lo = Array.fold_left min series.(0) series in
+    let hi = Array.fold_left max series.(0) series in
+    let span = if hi -. lo <= 0.0 then 1.0 else hi -. lo in
+    let buf = Buffer.create (width * 3) in
+    for i = 0 to width - 1 do
+      (* Nearest-sample resampling onto the requested width. *)
+      let idx =
+        if width = 1 then 0 else i * (len - 1) / (width - 1)
+      in
+      let v = (series.(idx) -. lo) /. span in
+      let level = min 7 (max 0 (int_of_float (v *. 7.999))) in
+      Buffer.add_string buf blocks.(level)
+    done;
+    Buffer.contents buf
+  end

@@ -19,3 +19,8 @@ val discrepancy_plot :
 (** Line plot of one or more (step, discrepancy) series with a legend.
     [log_y] (default false) plots log₁₀(1 + y).
     @raise Invalid_argument on empty input or label/series mismatch. *)
+
+val sparkline : ?width:int -> float array -> string
+(** Render a series as a Unicode sparkline (▁▂▃▄▅▆▇█), resampled to
+    [width] (default: series length, capped at 60).  Empty input gives
+    an empty string. *)

@@ -174,49 +174,6 @@ let test_coloring_flags_bad_balancer () =
   let r = Core.Coloring.check ~graph:g ~balancer:greedy ~s:1 ~c:5 ~init ~steps:5 in
   check_bool "rule 1 violated" false r.Core.Coloring.rule1_ok
 
-(* --- Metrics --- *)
-
-let test_metrics_recorder () =
-  let g = Graphs.Gen.complete 6 in
-  let init = Core.Loads.point_mass ~n:6 ~total:60 in
-  let t, hook = Core.Metrics.recorder () in
-  hook 0 init;
-  ignore
-    (Core.Engine.run ~hook ~graph:g
-       ~balancer:(Core.Rotor_router.make g ~self_loops:5)
-       ~init ~steps:20 ());
-  let samples = Core.Metrics.samples t in
-  check_int "21 samples" 21 (Array.length samples);
-  check_int "first is initial" 60 samples.(0).Core.Metrics.discrepancy;
-  let last = samples.(20) in
-  check_bool "converged" true (last.Core.Metrics.discrepancy <= 10);
-  (* Quadratic potential of the continuous-like trajectory shrinks. *)
-  check_bool "quadratic decreased" true
-    (last.Core.Metrics.quadratic < samples.(0).Core.Metrics.quadratic)
-
-let test_metrics_every () =
-  let t, hook = Core.Metrics.recorder ~every:5 () in
-  for step = 1 to 20 do
-    hook step [| step; 0 |]
-  done;
-  let s = Core.Metrics.samples t in
-  Alcotest.(check (list int)) "sampled steps" [ 5; 10; 15; 20 ]
-    (Array.to_list (Array.map (fun x -> x.Core.Metrics.step) s))
-
-let test_quadratic_potential () =
-  Alcotest.(check (float 1e-9)) "flat" 0.0 (Core.Metrics.quadratic_potential [| 3; 3 |]);
-  Alcotest.(check (float 1e-9)) "pair" 2.0 (Core.Metrics.quadratic_potential [| 2; 4 |])
-
-let test_sparkline () =
-  Alcotest.(check string) "empty" "" (Core.Metrics.sparkline [||]);
-  let s = Core.Metrics.sparkline [| 0.0; 1.0 |] in
-  check_bool "two blocks" true (String.length s > 0);
-  (* Monotone series renders monotone blocks: first char is the lowest
-     block, last is the highest. *)
-  let s = Core.Metrics.sparkline [| 0.0; 0.25; 0.5; 0.75; 1.0 |] in
-  check_bool "starts low" true (String.sub s 0 3 = "\xe2\x96\x81");
-  check_bool "ends high" true (String.sub s (String.length s - 3) 3 = "\xe2\x96\x88")
-
 (* --- Quasirandom [9] --- *)
 
 let test_quasirandom_bounded_error () =
@@ -313,13 +270,6 @@ let () =
           Alcotest.test_case "gap recolorings = φ' drop" `Quick
             test_gap_coloring_recolor_count_is_phi'_drop;
           Alcotest.test_case "flags bad balancer" `Quick test_coloring_flags_bad_balancer;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "recorder" `Quick test_metrics_recorder;
-          Alcotest.test_case "every" `Quick test_metrics_every;
-          Alcotest.test_case "quadratic potential" `Quick test_quadratic_potential;
-          Alcotest.test_case "sparkline" `Quick test_sparkline;
         ] );
       ( "quasirandom [9]",
         [

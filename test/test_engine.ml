@@ -115,6 +115,71 @@ let test_negative_send_enforced () =
        false
      with Core.Engine.Invariant_violation _ -> true)
 
+(* Keeps everything, except at node 5 in step 2, where [bad] rewrites
+   the ports.  Node 5 is not the first node of any shard, so the message
+   pins the global node id as well as the step. *)
+let bad_at_node5_step2 ~name ~bad g =
+  let d = Graphs.Graph.degree g in
+  {
+    Core.Balancer.name;
+    degree = d;
+    self_loops = 1;
+    props = Core.Balancer.paper_stateless;
+    persist = None;
+    assign =
+      (fun ~step ~node ~load ~ports ->
+        Array.fill ports 0 (d + 1) 0;
+        ports.(d) <- load;
+        if node = 5 && step = 2 then bad ~d ~load ports);
+  }
+
+let test_same_violation_in_every_engine () =
+  let g = Graphs.Gen.cycle 8 in
+  let init = Array.make 8 4 in
+  let engines =
+    [
+      ( "core",
+        fun b -> ignore (Core.Engine.run ~graph:g ~balancer:b ~init ~steps:3 ()) );
+      ( "shard",
+        fun b ->
+          ignore
+            (Shard.Shard_engine.run ~shards:2 ~graph:g
+               ~make_balancer:(fun () -> b)
+               ~init ~steps:3 ()) );
+      ( "net",
+        fun b -> ignore (Net.Async_engine.run ~graph:g ~balancer:b ~init ~steps:3 ()) );
+      ( "faults",
+        fun b ->
+          ignore
+            (Faults.Engine.run ~graph:g
+               ~make_balancer:(fun () -> b)
+               ~plan:[] ~init ~steps:3 ()) );
+    ]
+  in
+  List.iter
+    (fun (name, bad, expected) ->
+      let b = bad_at_node5_step2 ~name ~bad g in
+      List.iter
+        (fun (engine, run) ->
+          let got =
+            try
+              run b;
+              "no violation"
+            with Core.Engine.Invariant_violation m -> m
+          in
+          Alcotest.(check string) (name ^ " / " ^ engine) expected got)
+        engines)
+    [
+      ( "negative-sender",
+        (fun ~d ~load ports ->
+          ports.(1) <- -1;
+          ports.(d) <- load + 1),
+        "negative-sender: node 5 step 2 sends -1 (< 0) on original port 1" );
+      ( "leaky",
+        (fun ~d ~load ports -> ports.(d) <- load - 1),
+        "leaky: node 5 step 2 assigned 3 tokens of load 4" );
+    ]
+
 let test_series_sampling () =
   let g = Graphs.Gen.cycle 4 in
   let init = [| 12; 0; 0; 0 |] in
@@ -223,6 +288,8 @@ let () =
           Alcotest.test_case "conservation enforced" `Quick test_conservation_enforced;
           Alcotest.test_case "negative send enforced" `Quick test_negative_send_enforced;
           Alcotest.test_case "degree mismatch" `Quick test_degree_mismatch_rejected;
+          Alcotest.test_case "same message in every engine" `Quick
+            test_same_violation_in_every_engine;
         ] );
       ( "instrumentation",
         [

@@ -2,8 +2,7 @@
 
    - the partitioner covers every node exactly once and its cut-edge
      statistics are consistent;
-   - the domain pool dispatches, barriers, maps and propagates
-     exceptions;
+   - the domain pool dispatches, barriers and propagates exceptions;
    - Shard_engine.run is bit-identical to Core.Engine.run — final
      loads, full series, min_load_seen, reached_target, steps_run and
      the fairness audit — for every deterministic balancer, across
@@ -82,14 +81,6 @@ let test_pool_run_barrier () =
       Shard.Pool.run pool (fun w -> hits.(w) <- hits.(w) + 1);
       Shard.Pool.run pool (fun w -> hits.(w) <- hits.(w) + 1);
       Alcotest.(check (array int)) "each worker ran each phase" [| 2; 2; 2; 2 |] hits)
-
-let test_pool_map () =
-  Shard.Pool.with_pool ~domains:3 (fun pool ->
-      let out = Shard.Pool.map pool (fun x -> x * x) (Array.init 20 Fun.id) in
-      Alcotest.(check (array int))
-        "squares in order"
-        (Array.init 20 (fun i -> i * i))
-        out)
 
 let test_pool_exception_propagates () =
   check_bool "exception re-raised" true
@@ -423,7 +414,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "run is a barrier" `Quick test_pool_run_barrier;
-          Alcotest.test_case "map preserves order" `Quick test_pool_map;
           Alcotest.test_case "exceptions propagate" `Quick
             test_pool_exception_propagates;
         ] );

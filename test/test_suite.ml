@@ -170,47 +170,6 @@ let test_replicate_empty_rejected () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Parallel --- *)
-
-let test_parallel_map_order () =
-  let xs = List.init 37 (fun i -> i) in
-  Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * 2) xs)
-    (Harness.Parallel.map (fun x -> x * 2) xs)
-
-let test_parallel_map_single_domain () =
-  Alcotest.(check (list int)) "degenerate" [ 2; 4 ]
-    (Harness.Parallel.map ~domains:1 (fun x -> x * 2) [ 1; 2 ])
-
-let test_parallel_map_empty () =
-  Alcotest.(check (list int)) "empty" [] (Harness.Parallel.map (fun x -> x) [])
-
-let test_parallel_exception_propagates () =
-  check_bool "raises" true
-    (try
-       ignore
-         (Harness.Parallel.map ~domains:2
-            (fun x -> if x = 3 then failwith "boom" else x)
-            [ 1; 2; 3; 4 ]);
-       false
-     with Failure m -> m = "boom")
-
-let test_parallel_matches_sequential_experiment () =
-  (* Real workload: discrepancy of random-extra across seeds, computed
-     both ways, must agree exactly (everything is seed-deterministic). *)
-  let measure seed =
-    let g = Graphs.Gen.torus [ 4; 4 ] in
-    let init = Core.Loads.point_mass ~n:16 ~total:320 in
-    let bal = Baselines.Random_extra.make (Prng.Splitmix.create seed) g ~self_loops:4 in
-    let r = Core.Engine.run ~graph:g ~balancer:bal ~init ~steps:60 () in
-    float_of_int (Core.Loads.discrepancy r.Core.Engine.final_loads)
-  in
-  let seeds = [ 1; 2; 3; 4; 5; 6 ] in
-  let seq = Harness.Series.replicate ~seeds measure in
-  let par = Harness.Parallel.replicate ~seeds measure in
-  Alcotest.(check (float 1e-12)) "same mean" seq.Harness.Series.mean par.Harness.Series.mean;
-  Alcotest.(check (float 1e-12)) "same stddev" seq.Harness.Series.stddev
-    par.Harness.Series.stddev
-
 let () =
   Alcotest.run "suite"
     [
@@ -238,15 +197,5 @@ let () =
             test_replicate_deterministic_has_zero_variance;
           Alcotest.test_case "sweep" `Quick test_sweep;
           Alcotest.test_case "empty rejected" `Quick test_replicate_empty_rejected;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "map order" `Quick test_parallel_map_order;
-          Alcotest.test_case "single domain" `Quick test_parallel_map_single_domain;
-          Alcotest.test_case "empty" `Quick test_parallel_map_empty;
-          Alcotest.test_case "exception propagates" `Quick
-            test_parallel_exception_propagates;
-          Alcotest.test_case "matches sequential" `Quick
-            test_parallel_matches_sequential_experiment;
         ] );
     ]

@@ -151,6 +151,16 @@ let prop_heatmap_cell_count =
       let s = Viz.Svg.to_string (Viz.Plots.torus_heatmap ~side ~loads ()) in
       count_occurrences s "<rect" = side * side)
 
+let test_sparkline () =
+  Alcotest.(check string) "empty" "" (Viz.Plots.sparkline [||]);
+  let s = Viz.Plots.sparkline [| 0.0; 1.0 |] in
+  check_bool "two blocks" true (String.length s > 0);
+  (* Monotone series renders monotone blocks: first char is the lowest
+     block, last is the highest. *)
+  let s = Viz.Plots.sparkline [| 0.0; 0.25; 0.5; 0.75; 1.0 |] in
+  check_bool "starts low" true (String.sub s 0 3 = "\xe2\x96\x81");
+  check_bool "ends high" true (String.sub s (String.length s - 3) 3 = "\xe2\x96\x88")
+
 let () =
   Alcotest.run "viz"
     [
@@ -172,6 +182,7 @@ let () =
           Alcotest.test_case "log plot" `Quick test_discrepancy_plot_log;
           Alcotest.test_case "rejects bad input" `Quick test_discrepancy_plot_rejects;
           Alcotest.test_case "end to end" `Quick test_end_to_end_with_engine;
+          Alcotest.test_case "sparkline" `Quick test_sparkline;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_heatmap_cell_count ]);
     ]
