@@ -59,15 +59,32 @@ dune exec bin/lb_sim.exe -- --graph cycle:1024 --algo rotor-router \
 
 echo "== net smoke: loss=0 network is bit-identical to the core engine =="
 # A reliable network (--drop 0) must reproduce the synchronous engine's
-# result exactly; compare the "final disc:" lines of the two runs.
+# result exactly; compare the "final disc:" lines of the two runs and
+# their final load vectors.  The core run takes the fused rotor-router
+# kernel; the --drop 0 run (assign_checked per node) and the --audit run
+# (the generic scatter feeding the fairness tracker) take the generic
+# path, so the cmp checks the kernel against the reference assign.
+net_dir=$(mktemp -d -t lb_ci_net.XXXXXX)
 ref=$(dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
-  --init point:4096 --steps 200 | grep '^final disc:')
+  --init point:4096 --steps 200 --dump-loads "$net_dir/core.loads" \
+  | grep '^final disc:')
 net=$(dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
-  --init point:4096 --steps 200 --drop 0 | grep '^final disc:')
+  --init point:4096 --steps 200 --drop 0 --dump-loads "$net_dir/net.loads" \
+  | grep '^final disc:')
 if [ "$ref" != "$net" ]; then
   echo "loss=0 network diverged from the core engine: '$ref' vs '$net'" >&2
   exit 1
 fi
+dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
+  --init point:4096 --steps 200 --audit --dump-loads "$net_dir/audit.loads" \
+  > /dev/null
+for other in net audit; do
+  cmp "$net_dir/core.loads" "$net_dir/$other.loads" || {
+    echo "final loads of the $other run diverged from the core engine" >&2
+    exit 1
+  }
+done
+rm -rf "$net_dir"
 
 echo "== net smoke: lossy runs replay identically under one --net-seed =="
 run1=$(dune exec bin/lb_sim.exe -- --graph hypercube:6 --algo send-floor \

@@ -781,14 +781,15 @@ let run graph algo self_loops init steps horizon target audit series seed shards
           if series || dump_loads <> None then begin
             (* Deterministic re-run with the same spec: a fine-grained
                series for plotting, and the final vector for
-               --dump-loads (identical to the summarized run). *)
+               --dump-loads (identical to the summarized run, audit
+               included, so it takes the same engine path). *)
             let n = Graphs.Graph.n g in
             let init_loads = Harness.Experiment.build_init init_spec ~n in
             let balancer =
               Harness.Experiment.build_balancer algo_spec g ~init:init_loads
             in
             let r =
-              Core.Engine.run
+              Core.Engine.run ~audit
                 ~sample_every:(max 1 (outcome.Harness.Experiment.horizon / 50))
                 ~graph:g ~balancer ~init:init_loads
                 ~steps:outcome.Harness.Experiment.horizon ()

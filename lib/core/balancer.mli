@@ -36,6 +36,28 @@ type persistence = {
       @raise Invalid_argument on a length mismatch. *)
 }
 
+(** A fused scatter: one balancer's [assign], its checks and the token
+    move of [Engine.scatter], written as one loop over flat arrays.
+    It has [Engine.scatter]'s contract for the balancer it was built
+    with: for every local node [i] it adds port [k]'s tokens into
+    [acc.(targets.(i * d + k))] and the kept tokens into [acc.(i)],
+    advances the balancer's state exactly as [assign] would, raises
+    what [assign] and [Engine.assign_checked] raise, and returns the
+    tokens sent on original ports.  [ports] is a scratch buffer of
+    length d⁺ it may use. *)
+type fused = {
+  built_for : step:int -> node:int -> load:int -> ports:int array -> unit;
+  (** The [assign] closure this scatter replaces. *)
+  scatter :
+    step:int ->
+    nodes:int array ->
+    loads:int array ->
+    targets:int array ->
+    acc:int array ->
+    ports:int array ->
+    int;
+}
+
 type t = {
   name : string;
   degree : int;       (** d: original edges per node *)
@@ -46,6 +68,13 @@ type t = {
   (** Checkpoint capability.  [None] for balancers whose state cannot be
       captured as a per-node int vector (or that have none — stateless
       balancers need no persistence to be resumable). *)
+  fused : fused option;
+  (** Optional fast path for [Engine.scatter].  The engine runs it in
+      place of its per-node loop only when no fairness tracker is
+      attached and [built_for == assign] (physical equality).  So a
+      copy [{ b with assign = ... }] — [Tap.wrap], or any probe that
+      replaces [assign] — falls back to the generic loop and its
+      [assign] still sees every call.  [None] for most balancers. *)
 }
 
 val d_plus : t -> int
@@ -65,8 +94,3 @@ val paper_deterministic : properties
 
 val paper_stateless : properties
 (** D ✓, SL ✓, NL ✓, NC ✓ — SEND-style. *)
-
-val validate_assignment :
-  t -> load:int -> ports:int array -> (unit, string) Result.t
-(** The engine's invariant check, exposed for tests: conservation and
-    non-negative original ports. *)

@@ -9,6 +9,11 @@ type result = {
   fairness : Fairness.report option;
 }
 
+let conservation_failure ~name ~node ~step ~assigned ~load =
+  Invariant_violation
+    (Printf.sprintf "%s: node %d step %d assigned %d tokens of load %d" name node step
+       assigned load)
+
 let assign_checked (b : Balancer.t) ~step ~node ~load ~ports =
   b.assign ~step ~node ~load ~ports;
   let d = b.degree in
@@ -27,12 +32,11 @@ let assign_checked (b : Balancer.t) ~step ~node ~load ~ports =
   done;
   if !sent + !kept <> load then
     raise
-      (Invariant_violation
-         (Printf.sprintf "%s: node %d step %d assigned %d tokens of load %d" b.name
-            node step (!sent + !kept) load));
+      (conservation_failure ~name:b.name ~node ~step ~assigned:(!sent + !kept) ~load);
   !kept
 
-let scatter (b : Balancer.t) ~tracker ~step ~nodes ~loads ~targets ~acc ~ports =
+let scatter_generic (b : Balancer.t) ~tracker ~step ~nodes ~loads ~targets ~acc
+    ~ports =
   let d = b.degree in
   let moved = ref 0 in
   for i = 0 to Array.length nodes - 1 do
@@ -51,6 +55,12 @@ let scatter (b : Balancer.t) ~tracker ~step ~nodes ~loads ~targets ~acc ~ports =
     moved := !moved + (x - kept)
   done;
   !moved
+
+let scatter (b : Balancer.t) ~tracker ~step ~nodes ~loads ~targets ~acc ~ports =
+  match (tracker, b.fused) with
+  | None, Some f when f.Balancer.built_for == b.assign ->
+    f.Balancer.scatter ~step ~nodes ~loads ~targets ~acc ~ports
+  | _ -> scatter_generic b ~tracker ~step ~nodes ~loads ~targets ~acc ~ports
 
 let scan loads =
   let lo = ref loads.(0) and hi = ref loads.(0) in

@@ -26,6 +26,12 @@ val assign_checked :
     @raise Invariant_violation if an original port gets a negative
     count or the ports do not sum to [load]. *)
 
+val conservation_failure :
+  name:string -> node:int -> step:int -> assigned:int -> load:int -> exn
+(** The {!Invariant_violation} that {!assign_checked} raises when balancer
+    [name] placed [assigned] tokens of node [node]'s [load] in [step];
+    a fused scatter raises the same. *)
+
 val scatter :
   Balancer.t ->
   tracker:Fairness.t option ->
@@ -42,6 +48,10 @@ val scatter :
     [acc.(targets.(i * d + k))] and its kept tokens into [acc.(i)], and
     feeds [tracker] if present.  Returns the tokens sent on original
     ports.  [acc] is not cleared first.
+
+    With no [tracker], a balancer whose [fused] scatter was built for
+    its current [assign] (see {!Balancer.fused}) runs that instead of
+    the per-node loop; the results, state and exceptions are the same.
     @raise Invariant_violation as {!assign_checked}. *)
 
 val scan : int array -> int * int

@@ -52,6 +52,7 @@ let make ?order ?init_rotor g ~self_loops =
             invalid_arg "Rotor_router.make: initial rotor out of range";
           r)
   in
+  let name = Printf.sprintf "rotor-router(d°=%d)" self_loops in
   let assign ~step:_ ~node ~load ~ports =
     if load < 0 then
       invalid_arg "Rotor_router: negative load (rotor-router never produces one)";
@@ -65,11 +66,73 @@ let make ?order ?init_rotor g ~self_loops =
     done;
     rotor.(node) <- (r + e) mod dp
   in
+  (* [assign] and [Engine.scatter] fused: every original target gets
+     q = ⌊x/d⁺⌋ directly, then the e = x mod d⁺ extra tokens walk the
+     order from the rotor with a compare-and-wrap.  A negative load or
+     an out-of-range rotor (only a restored state can hold one) takes
+     [assign] itself, so its exception and arithmetic stay the
+     reference's. *)
+  let scatter ~step ~nodes ~loads ~targets ~acc ~ports =
+    let moved = ref 0 in
+    for i = 0 to Array.length nodes - 1 do
+      let u = nodes.(i) in
+      let x = loads.(u) in
+      let r = rotor.(u) in
+      let base = i * d in
+      let sent = ref 0 and kept = ref 0 in
+      if x >= 0 && r >= 0 && r < dp then begin
+        let q = x / dp in
+        let e = x - (q * dp) in
+        if q > 0 then
+          for k = base to base + d - 1 do
+            let j = targets.(k) in
+            acc.(j) <- acc.(j) + q
+          done;
+        sent := q * d;
+        kept := q * self_loops;
+        if e > 0 then begin
+          let ord = orders.(u) in
+          let p = ref r in
+          for _ = 1 to e do
+            let k = ord.(!p) in
+            if k < d then begin
+              let j = targets.(base + k) in
+              acc.(j) <- acc.(j) + 1;
+              incr sent
+            end
+            else incr kept;
+            incr p;
+            if !p = dp then p := 0
+          done;
+          rotor.(u) <- !p
+        end
+      end
+      else begin
+        assign ~step ~node:u ~load:x ~ports;
+        for k = 0 to d - 1 do
+          let j = targets.(base + k) in
+          acc.(j) <- acc.(j) + ports.(k);
+          sent := !sent + ports.(k)
+        done;
+        for k = d to dp - 1 do
+          kept := !kept + ports.(k)
+        done
+      end;
+      if !sent + !kept <> x then
+        raise
+          (Engine.conservation_failure ~name ~node:u ~step ~assigned:(!sent + !kept)
+             ~load:x);
+      acc.(i) <- acc.(i) + !kept;
+      moved := !moved + !sent
+    done;
+    !moved
+  in
   {
-    Balancer.name = Printf.sprintf "rotor-router(d°=%d)" self_loops;
+    Balancer.name;
     degree = d;
     self_loops;
     props = Balancer.paper_deterministic;
     assign;
     persist = Balancer.per_node_persistence rotor;
+    fused = Some { Balancer.built_for = assign; scatter };
   }

@@ -14,6 +14,7 @@ let keep_all g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    fused = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -29,6 +30,7 @@ let push_port0 g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    fused = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -44,6 +46,7 @@ let leaky g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    fused = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -59,6 +62,7 @@ let negative_sender g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    fused = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -126,6 +130,7 @@ let bad_at_node5_step2 ~name ~bad g =
     self_loops = 1;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    fused = None;
     assign =
       (fun ~step ~node ~load ~ports ->
         Array.fill ports 0 (d + 1) 0;
@@ -273,6 +278,107 @@ let prop_discrepancy_series_starts_at_initial =
       let r = Core.Engine.run ~graph:g ~balancer:bal ~init ~steps:5 () in
       Array.length r.Core.Engine.series > 0 && r.Core.Engine.series.(0) = (0, total))
 
+(* ---------- The fused rotor-router kernel ---------- *)
+
+let count_assigns b counter =
+  Core.Tap.wrap b ~on_assign:(fun ~step:_ ~node:_ ~load:_ ~ports:_ ->
+      Atomic.incr counter)
+
+let rotor_state (b : Core.Balancer.t) =
+  match b.Core.Balancer.persist with
+  | Some p -> p.Core.Balancer.state_save ()
+  | None -> Alcotest.fail "rotor-router without persistence"
+
+(* A random rotor-router instance: random regular graph, d° ∈ 0..2d,
+   random per-node order and initial rotor, and loads mixing zeros,
+   loads below d⁺ and loads far above it.  [make ()] builds a fresh
+   balancer, so several engines can run the same instance.  Odd seeds
+   then restore rotors up to 3·d⁺ — out of range, as only a restored
+   state can hold them. *)
+let random_rotor_instance ~n ~d ~seed =
+  let n = if n * d mod 2 = 1 then n + 1 else n in
+  let rng = Prng.Splitmix.create seed in
+  let g = Graphs.Gen.random_regular (Prng.Splitmix.split rng) ~n ~d in
+  let self_loops = Prng.Splitmix.int rng ((2 * d) + 1) in
+  let dp = d + self_loops in
+  let orders = Array.init n (fun _ -> Prng.Sample.permutation rng dp) in
+  let rotors = Array.init n (fun _ -> Prng.Splitmix.int rng dp) in
+  let init =
+    Array.init n (fun _ ->
+        match Prng.Splitmix.int rng 3 with
+        | 0 -> 0
+        | 1 -> Prng.Splitmix.int rng dp
+        | _ -> Prng.Splitmix.int_in rng (10 * dp) (30 * dp))
+  in
+  let restored = Array.map (fun r -> r + (dp * Prng.Splitmix.int rng 3)) rotors in
+  let make () =
+    let b =
+      Core.Rotor_router.make g ~self_loops
+        ~order:(fun u -> orders.(u))
+        ~init_rotor:(fun u -> rotors.(u))
+    in
+    (if seed land 1 = 1 then
+       match b.Core.Balancer.persist with
+       | Some p -> p.Core.Balancer.state_restore restored
+       | None -> ());
+    b
+  in
+  (g, make, init)
+
+let prop_rotor_kernel_matches_generic =
+  QCheck.Test.make
+    ~name:"rotor-router kernel = generic assign = Engine_ref (loads and rotors)"
+    ~count:60
+    QCheck.(quad (int_range 8 24) (int_range 3 5) (int_range 0 100_000) (int_range 1 10))
+    (fun (n, d, seed, steps) ->
+      let g, make, init = random_rotor_instance ~n ~d ~seed in
+      let kernel = make () and generic = count_assigns (make ()) (Atomic.make 0) in
+      let k = Core.Engine.run ~graph:g ~balancer:kernel ~init ~steps () in
+      let w = Core.Engine.run ~graph:g ~balancer:generic ~init ~steps () in
+      let r = Core.Engine_ref.run ~graph:g ~balancer:(make ()) ~init ~steps in
+      k.Core.Engine.final_loads = w.Core.Engine.final_loads
+      && k.Core.Engine.final_loads = r
+      && rotor_state kernel = rotor_state generic)
+
+(* The kernel runs only for the [assign] it was built for: a wrapped
+   balancer takes the generic path under every engine, so its tap sees
+   every call; and a negative load fails the same way on both paths. *)
+let test_rotor_kernel_guard () =
+  let n = 30 and steps = 7 in
+  let g = Graphs.Gen.random_regular (Prng.Splitmix.create 5) ~n ~d:4 in
+  let init = Core.Loads.point_mass ~n ~total:(40 * n) in
+  let make () = Core.Rotor_router.make g ~self_loops:4 in
+  let calls = Atomic.make 0 in
+  ignore
+    (Core.Engine.run ~graph:g ~balancer:(count_assigns (make ()) calls) ~init ~steps ());
+  check_int "core: one tap call per node and step" (n * steps) (Atomic.get calls);
+  let calls = Atomic.make 0 in
+  ignore
+    (Shard.Shard_engine.run ~shards:2 ~graph:g
+       ~make_balancer:(fun () -> count_assigns (make ()) calls)
+       ~init ~steps ());
+  check_int "shard: one tap call per node and step" (n * steps) (Atomic.get calls);
+  let init = Array.copy init in
+  init.(11) <- -3;
+  let failure run b =
+    match run b with
+    | () -> "no exception"
+    | exception e -> Printexc.to_string e
+  in
+  let core b = ignore (Core.Engine.run ~graph:g ~balancer:b ~init ~steps ()) in
+  let shard b =
+    ignore
+      (Shard.Shard_engine.run ~shards:2 ~graph:g ~make_balancer:(fun () -> b) ~init
+         ~steps ())
+  in
+  List.iter
+    (fun (engine, run) ->
+      let kernel = failure run (make ()) in
+      let wrapped = failure run (count_assigns (make ()) (Atomic.make 0)) in
+      check_bool (engine ^ ": negative load rejected") true (kernel <> "no exception");
+      Alcotest.(check string) (engine ^ ": same exception on both paths") wrapped kernel)
+    [ ("core", core); ("shard", shard) ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -290,6 +396,8 @@ let () =
           Alcotest.test_case "degree mismatch" `Quick test_degree_mismatch_rejected;
           Alcotest.test_case "same message in every engine" `Quick
             test_same_violation_in_every_engine;
+          Alcotest.test_case "rotor kernel only for its own assign" `Quick
+            test_rotor_kernel_guard;
         ] );
       ( "instrumentation",
         [
@@ -303,5 +411,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_conservation_under_rotor_router;
           QCheck_alcotest.to_alcotest prop_discrepancy_series_starts_at_initial;
+          QCheck_alcotest.to_alcotest prop_rotor_kernel_matches_generic;
         ] );
     ]

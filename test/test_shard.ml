@@ -7,7 +7,8 @@
      loads, full series, min_load_seen, reached_target, steps_run and
      the fairness audit — for every deterministic balancer, across
      shard counts 1–8, every partition strategy, on random regular
-     graphs (property-tested) and fixed families;
+     graphs (property-tested) and fixed families; and the fused
+     rotor-router kernel at 1–4 shards matches the generic assign;
    - a checkpoint saved at step k, restored and finished matches the
      uninterrupted run (golden round-trip), including across different
      shard counts and through lb_sim-style kill/resume. *)
@@ -198,13 +199,39 @@ let prop_equivalence_random_regular =
       let n = if (n * d) mod 2 = 1 then n + 1 else n in
       let g = Graphs.Gen.random_regular (Prng.Splitmix.create 99) ~n ~d in
       let init = Core.Loads.uniform_random (Prng.Splitmix.create 7) ~n ~total in
+      let same (a : Core.Engine.result) (b : Core.Engine.result) =
+        a.Core.Engine.final_loads = b.Core.Engine.final_loads
+        && a.Core.Engine.series = b.Core.Engine.series
+        && a.Core.Engine.min_load_seen = b.Core.Engine.min_load_seen
+      in
+      (* A rotor-router with random per-node orders and rotors: every
+         shard runs the fused kernel, the reference the wrapped (generic)
+         assign. *)
+      let rng = Prng.Splitmix.create total in
+      let orders = Array.init n (fun _ -> Prng.Sample.permutation rng (2 * d)) in
+      let rotors = Array.init n (fun _ -> Prng.Splitmix.int rng (2 * d)) in
+      let rotor () =
+        Core.Rotor_router.make g ~self_loops:d
+          ~order:(fun u -> orders.(u))
+          ~init_rotor:(fun u -> rotors.(u))
+      in
+      let generic =
+        let ignore_assign ~step:_ ~node:_ ~load:_ ~ports:_ = () in
+        Core.Engine.run ~graph:g
+          ~balancer:(Core.Tap.wrap (rotor ()) ~on_assign:ignore_assign)
+          ~init ~steps:15 ()
+      in
       List.for_all
         (fun algo ->
           let seq, par = run_both ~shards ~graph:g ~algo ~init ~steps:15 () in
-          seq.Core.Engine.final_loads = par.Core.Engine.final_loads
-          && seq.Core.Engine.series = par.Core.Engine.series
-          && seq.Core.Engine.min_load_seen = par.Core.Engine.min_load_seen)
-        deterministic_algos)
+          same seq par)
+        deterministic_algos
+      && List.for_all
+           (fun k ->
+             same generic
+               (Shard.Shard_engine.run ~shards:k ~graph:g ~make_balancer:rotor ~init
+                  ~steps:15 ()))
+           [ 1; 2; 3; 4 ])
 
 (* ---------- Checkpoint ---------- *)
 
