@@ -326,4 +326,12 @@ dune exec bin/jsonlint.exe -- \
   "$bench_json/BENCH_dist.json"
 rm -rf "$bench_json"
 
+echo "== bench smoke: reduced expander-seq reaches its recorded digest =="
+# A short run of the benchmark at the default seed.  Its checks include
+# the recorded reduced-scale final-load digest, which pins the seed-1
+# random regular graph and the rotor-router rounds on it end to end;
+# run.py exits non-zero when any check fails.
+python3 perfbench/run.py --workload expander-seq --scale reduced \
+  --seconds 0.3 --trace 0 > /dev/null
+
 echo "== ci.sh: all green =="

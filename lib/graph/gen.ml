@@ -114,47 +114,64 @@ let petersen () =
 
 type pairing = { a : int array; b : int array }
 
-let edge_key u v = if u < v then (u, v) else (v, u)
+(* Every node's d stub partners, one row of [d] entries per node: pair
+   (u, v) puts v in u's row and u in v's row (a loop (u, u) puts u twice
+   in u's row).  For u <> v the multiplicity of the edge {u, v} is the
+   number of times v appears in u's row.  A removed pair leaves a hole
+   (-1) in each endpoint's row, which the next added pair fills. *)
+type rows = { d : int; partners : int array }
 
-let build_multiset pairing =
-  let h = Hashtbl.create (Array.length pairing.a * 2) in
+let build_rows ~n ~d pairing =
+  let partners = Array.make (n * d) (-1) in
+  let fill = Array.make n 0 in
+  let put u v =
+    partners.((u * d) + fill.(u)) <- v;
+    fill.(u) <- fill.(u) + 1
+  in
   Array.iteri
     (fun i u ->
       let v = pairing.b.(i) in
-      let k = edge_key u v in
-      Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
+      put u v;
+      put v u)
     pairing.a;
-  h
+  { d; partners }
 
-(* Badness of a pair already counted in the multiset: a loop, or a
-   parallel edge (its key appears more than once). *)
-let pair_is_bad multiset u v =
-  u = v
-  || match Hashtbl.find_opt multiset (edge_key u v) with
-     | Some c -> c > 1
-     | None -> false
+(* Number of entries [v] in [u]'s row. *)
+let count rows u v =
+  let c = ref 0 in
+  for k = u * rows.d to ((u + 1) * rows.d) - 1 do
+    if rows.partners.(k) = v then incr c
+  done;
+  !c
 
-(* Badness of a pair about to be added: a loop, or any existing copy. *)
-let would_be_bad multiset u v =
-  u = v || Hashtbl.mem multiset (edge_key u v)
+(* Replace one entry [x] of [u]'s row by [y]; [x] is there by the
+   invariant above. *)
+let replace rows u x y =
+  let rec go k =
+    if rows.partners.(k) = x then rows.partners.(k) <- y else go (k + 1)
+  in
+  go (u * rows.d)
 
-let multiset_remove h u v =
-  let k = edge_key u v in
-  match Hashtbl.find_opt h k with
-  | Some 1 -> Hashtbl.remove h k
-  | Some c -> Hashtbl.replace h k (c - 1)
-  | None -> ()
+let rows_remove rows u v =
+  replace rows u v (-1);
+  replace rows v u (-1)
 
-let multiset_add h u v =
-  let k = edge_key u v in
-  Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k))
+let rows_add rows u v =
+  replace rows u (-1) v;
+  replace rows v (-1) u
+
+let same_key x y u v = (x = u && y = v) || (x = v && y = u)
 
 (* Repeatedly resolve loops / parallel edges by swapping endpoints with a
    random other pair; accepted only if it strictly reduces badness. *)
-let repair rng pairing =
+let repair rng ~n ~d pairing =
   let m = Array.length pairing.a in
-  let multiset = build_multiset pairing in
-  let bad i = pair_is_bad multiset pairing.a.(i) pairing.b.(i) in
+  let rows = build_rows ~n ~d pairing in
+  (* A loop, or a parallel edge (its key appears more than once). *)
+  let bad i =
+    let u = pairing.a.(i) and v = pairing.b.(i) in
+    u = v || count rows u v > 1
+  in
   let budget = ref (200 * m) in
   let rec fix_one i =
     if !budget <= 0 then false
@@ -165,27 +182,27 @@ let repair rng pairing =
       else begin
         let u1 = pairing.a.(i) and v1 = pairing.b.(i) in
         let u2 = pairing.a.(j) and v2 = pairing.b.(j) in
-        (* Propose the swap (u1,v1),(u2,v2) -> (u1,v2),(u2,v1). *)
-        multiset_remove multiset u1 v1;
-        multiset_remove multiset u2 v2;
+        (* Propose the swap (u1,v1),(u2,v2) -> (u1,v2),(u2,v1): accepted
+           when neither new pair is a loop or has a copy, and the two
+           are not the same edge.  The counts still include the two old
+           pairs; that changes a count only when u1 = u2 or v1 = v2, and
+           because pair i is bad such a swap fails these tests anyway. *)
         let ok =
-          (not (would_be_bad multiset u1 v2))
-          && (not (would_be_bad multiset u2 v1))
-          && u1 <> v2 && u2 <> v1
-          && edge_key u1 v2 <> edge_key u2 v1
+          u1 <> v2 && u2 <> v1
+          && count rows u1 v2 = 0
+          && count rows u2 v1 = 0
+          && not (same_key u1 v2 u2 v1)
         in
         if ok then begin
           pairing.b.(i) <- v2;
           pairing.b.(j) <- v1;
-          multiset_add multiset u1 v2;
-          multiset_add multiset u2 v1;
+          rows_remove rows u1 v1;
+          rows_remove rows u2 v2;
+          rows_add rows u1 v2;
+          rows_add rows u2 v1;
           true
         end
-        else begin
-          multiset_add multiset u1 v1;
-          multiset_add multiset u2 v2;
-          fix_one i
-        end
+        else fix_one i
       end
     end
   in
@@ -205,15 +222,14 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
   if n * d mod 2 <> 0 then invalid_arg "Gen.random_regular: n * d must be even";
   let m = n * d / 2 in
   let attempt () =
-    let stubs = Array.concat (List.init n (fun u -> Array.make d u)) in
+    let stubs = Array.init (n * d) (fun i -> i / d) in
     Prng.Sample.shuffle rng stubs;
     let pairing =
       { a = Array.init m (fun i -> stubs.(2 * i));
         b = Array.init m (fun i -> stubs.((2 * i) + 1)) }
     in
-    if repair rng pairing then begin
-      let edges = List.init m (fun i -> (pairing.a.(i), pairing.b.(i))) in
-      let g = Graph.of_edges ~n edges in
+    if repair rng ~n ~d pairing then begin
+      let g = Graph.of_edge_arrays ~n pairing.a pairing.b in
       if Props.is_connected g then Some g else None
     end
     else None

@@ -43,7 +43,12 @@ val random_regular : ?max_attempts:int -> Prng.Splitmix.t -> n:int -> d:int -> G
     final edge-switch repair pass.  [n·d] must be even, [d < n].
     @raise Failure if no simple graph is found within
     [max_attempts] (default 200) full restarts — practically unreachable
-    for d = O(√n). *)
+    for d = O(√n).
+
+    The graph, port numbering included, is a function of the RNG's
+    state, [n], [d] and [max_attempts] alone, pinned by a golden table
+    of digests in the tests.  Memory is O(n·d) words: the stubs, the
+    pairing and each node's d stub partners are flat int arrays. *)
 
 val bipartite_double_cover : Graph.t -> Graph.t
 (** The double cover: nodes (u, σ) for σ ∈ {0,1} (encoded u and n+u),

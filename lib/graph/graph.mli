@@ -18,7 +18,17 @@ val of_edges : n:int -> (int * int) list -> t
     undirected edges.  Every edge [(u, v)] contributes one port at [u]
     and one at [v]; ports are numbered in order of appearance.
     @raise Invalid_argument on out-of-range endpoints, on [u = v], or if
-    the resulting graph is not regular. *)
+    the resulting graph is not regular.  A wrapper over
+    {!of_edge_arrays}: the same graph, ports and checks. *)
+
+val of_edge_arrays : n:int -> int array -> int array -> t
+(** [of_edge_arrays ~n us vs] is the graph whose edge [i] is
+    [(us.(i), vs.(i))]: [of_edges ~n edges] without the list and the
+    tuples.  Ports are numbered in order of appearance, as in
+    {!of_edges}.  Both arrays are copied.
+    @raise Invalid_argument if the arrays differ in length, on
+    out-of-range endpoints, on [u = v], or if the resulting graph is not
+    regular. *)
 
 val n : t -> int
 (** Number of nodes. *)
@@ -43,8 +53,9 @@ val reverse_port : t -> int -> int -> int
     pairing is a fixed bijection. *)
 
 val edges : t -> (int * int) array
-(** The undirected edges, each once, with [u <= v] normalized order
-    removed — edges are reported as they were given. *)
+(** The undirected edges, each once, as they were given: same order,
+    same orientation, no [u <= v] normalization.  A fresh array of fresh
+    tuples; the graph stores its edges as two int arrays. *)
 
 val directed_edge_index : t -> int -> int -> int
 (** [directed_edge_index g u k] is a dense index in
@@ -64,6 +75,8 @@ val multiplicity : t -> int -> int -> int
 (** Number of parallel edges between two nodes.  O(degree). *)
 
 val has_parallel_edges : t -> bool
+(** Whether some node has two ports to the same neighbor.  O(n) extra
+    words; stops at the first parallel edge found. *)
 
 val pp : Format.formatter -> t -> unit
 (** One line summary: nodes, degree, edges. *)

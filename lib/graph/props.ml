@@ -1,17 +1,26 @@
+(* Each node enters the FIFO at most once, so an n-slot array holds it;
+   [queue.(head .. tail - 1)] is the frontier. *)
 let bfs_distances g src =
   let n = Graph.n g in
   if src < 0 || src >= n then invalid_arg "Props.bfs_distances";
+  let d = Graph.degree g and adj = Graph.adjacency g in
   let dist = Array.make n max_int in
-  let q = Queue.create () in
+  let queue = Array.make n 0 in
   dist.(src) <- 0;
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    Graph.iter_ports g u (fun _ v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q
-        end)
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du = dist.(u) + 1 in
+    for k = u * d to ((u + 1) * d) - 1 do
+      let v = adj.(k) in
+      if dist.(v) = max_int then begin
+        dist.(v) <- du;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   dist
 

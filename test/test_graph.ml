@@ -35,6 +35,11 @@ let test_of_edges_rejects_out_of_range () =
     (Invalid_argument "Graph.of_edges: endpoint out of range") (fun () ->
       ignore (Graphs.Graph.of_edges ~n:2 [ (0, 5) ]))
 
+let test_of_edge_arrays_rejects_length_mismatch () =
+  Alcotest.check_raises "lengths differ"
+    (Invalid_argument "Graph.of_edge_arrays: endpoint arrays differ in length") (fun () ->
+      ignore (Graphs.Graph.of_edge_arrays ~n:2 [| 0; 0 |] [| 1 |]))
+
 let test_reverse_port_involution () =
   let g = Graphs.Gen.torus [ 3; 3 ] in
   for u = 0 to Graphs.Graph.n g - 1 do
@@ -163,6 +168,46 @@ let test_random_regular_rejects_odd () =
        false
      with Invalid_argument _ -> true)
 
+(* FNV-1a fold (63-bit ints) of the flat adjacency and of the edge
+   list, in the order the graph reports them. *)
+let fnv_fold h v = (h lxor v) * 0x1000193
+let digest_adjacency g = Array.fold_left fnv_fold 0x811c9dc5 (Graphs.Graph.adjacency g)
+
+let digest_edges g =
+  Array.fold_left
+    (fun h (u, v) -> fnv_fold (fnv_fold h u) v)
+    0x811c9dc5 (Graphs.Graph.edges g)
+
+(* Pins [random_regular]'s output, port numbering included, for fixed
+   (seed, n, d): d = n − 1, dense and constrained, a seed whose first
+   attempt is rejected (seed 2, n = 12, d = 9), and larger sparse
+   graphs.  Any change to the pairing, the repair's RNG draws, the
+   restart rule or the port order moves a digest. *)
+let random_regular_golden =
+  [
+    (1, 6, 5, "392408fc48f25ce4", "784d24eddf4e8ba8");
+    (1, 8, 7, "69616b8bb5c557d1", "593deca8484db56b");
+    (1, 12, 9, "3a42cfe5b4e61c4b", "69c989389ade6fef");
+    (2, 12, 9, "3b9b1473c0d5ad13", "3722f0f1f419fa23");
+    (1, 1000, 3, "7e103e9d997586f7", "e704fc4660ac0e9");
+    (1, 4096, 8, "65a038459c8b16ef", "14c0196f979c2ed1");
+    (1, 16384, 6, "b6b71613ea91dd1", "76a49a68e5ea4521");
+  ]
+
+let test_random_regular_golden () =
+  List.iter
+    (fun (seed, n, d, adj, edges) ->
+      let g = Graphs.Gen.random_regular (Prng.Splitmix.create seed) ~n ~d in
+      let name what = Printf.sprintf "seed %d n %d d %d %s" seed n d what in
+      Alcotest.(check string) (name "adjacency") adj
+        (Printf.sprintf "%x" (digest_adjacency g));
+      Alcotest.(check string) (name "edges") edges (Printf.sprintf "%x" (digest_edges g)))
+    random_regular_golden;
+  Alcotest.check_raises "first attempt rejected, max_attempts 1"
+    (Failure "Gen.random_regular: exhausted attempts (graph too constrained)")
+    (fun () ->
+      ignore (Graphs.Gen.random_regular ~max_attempts:1 (Prng.Splitmix.create 2) ~n:12 ~d:9))
+
 (* --- Props --- *)
 
 let test_bfs_distances_cycle () =
@@ -232,6 +277,36 @@ let prop_bfs_triangle_inequality =
       done;
       !ok)
 
+(* Rebuilding a graph from its own edge list, as a list or as two
+   endpoint arrays, reproduces it port for port; [reverse_port] pairs
+   each directed edge with its reverse. *)
+let prop_edges_round_trip =
+  QCheck.Test.make ~name:"of_edges of edges reproduces the graph" ~count:40
+    QCheck.(triple small_nat (int_range 4 60) (int_range 3 8))
+    (fun (seed, n, d) ->
+      let d = min d (n - 1) in
+      let n = if n * d mod 2 = 1 then n + 1 else n in
+      let g = Graphs.Gen.random_regular (Prng.Splitmix.create seed) ~n ~d in
+      let es = Graphs.Graph.edges g in
+      let h = Graphs.Graph.of_edges ~n (Array.to_list es) in
+      let h' = Graphs.Graph.of_edge_arrays ~n (Array.map fst es) (Array.map snd es) in
+      let rev x = Array.init (n * d) (fun i -> Graphs.Graph.reverse_port x (i / d) (i mod d)) in
+      let involution = ref true in
+      for u = 0 to n - 1 do
+        for k = 0 to d - 1 do
+          let v = Graphs.Graph.neighbor g u k and k' = Graphs.Graph.reverse_port g u k in
+          if Graphs.Graph.neighbor g v k' <> u || Graphs.Graph.reverse_port g v k' <> k then
+            involution := false
+        done
+      done;
+      List.for_all
+        (fun x ->
+          Graphs.Graph.adjacency x = Graphs.Graph.adjacency g
+          && rev x = rev g
+          && Graphs.Graph.edges x = es)
+        [ h; h' ]
+      && !involution)
+
 let prop_random_regular_simple =
   QCheck.Test.make ~name:"random regular graphs are simple and regular" ~count:15
     QCheck.(pair (int_range 10 40) (int_range 3 5))
@@ -253,6 +328,8 @@ let () =
           Alcotest.test_case "rejects irregular" `Quick test_of_edges_rejects_irregular;
           Alcotest.test_case "rejects out of range" `Quick
             test_of_edges_rejects_out_of_range;
+          Alcotest.test_case "edge arrays length mismatch" `Quick
+            test_of_edge_arrays_rejects_length_mismatch;
           Alcotest.test_case "reverse port involution" `Quick
             test_reverse_port_involution;
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges_supported;
@@ -275,6 +352,7 @@ let () =
           Alcotest.test_case "random regular" `Quick test_random_regular_valid;
           Alcotest.test_case "random regular odd nd" `Quick
             test_random_regular_rejects_odd;
+          Alcotest.test_case "random regular golden" `Quick test_random_regular_golden;
         ] );
       ( "props",
         [
@@ -290,5 +368,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_generators_regular_connected;
           QCheck_alcotest.to_alcotest prop_bfs_triangle_inequality;
           QCheck_alcotest.to_alcotest prop_random_regular_simple;
+          QCheck_alcotest.to_alcotest prop_edges_round_trip;
         ] );
     ]
