@@ -35,6 +35,41 @@ rm -f "$lint_jsonl"
 echo "== dune runtest (tier-1 + shard equivalence + faults) =="
 dune runtest
 
+echo "== spec errors exit 2 in every binary =="
+# A well-formed spec that a graph generator or balancer constructor
+# rejects must end in exit 2 (bad specification), never in an uncaught
+# exception (exit 125).  lb_node and lb_coord build the spec before they
+# connect or listen, so these runs never touch the network.
+bin_dir=_build/default/bin
+expect_exit() {
+  want=$1
+  shift
+  set +e
+  "$@" > /dev/null 2>&1
+  got=$?
+  set -e
+  if [ "$got" != "$want" ]; then
+    echo "expected exit $want, got $got: $*" >&2
+    exit 1
+  fi
+}
+for spec in cycle:2 torus:2x2 hypercube:0 complete:1 clique:4,5 random:5,3; do
+  for tool in lb_sim lb_walk lb_inspect lb_verify lb_cluster lb_coord; do
+    expect_exit 2 "$bin_dir/$tool.exe" --graph "$spec"
+  done
+  expect_exit 2 "$bin_dir/lb_node.exe" --shard 0 --port 1 --graph "$spec"
+done
+for tool in lb_sim lb_verify lb_cluster lb_coord; do
+  expect_exit 2 "$bin_dir/$tool.exe" --graph cycle:8 --algo send-round --self-loops 1
+done
+expect_exit 2 "$bin_dir/lb_node.exe" --shard 0 --port 1 --graph cycle:8 \
+  --algo send-round --self-loops 1
+# The same grammar builds on a good spec, in the three binaries no other
+# stage runs (torus:AxB with A != B included).
+expect_exit 0 "$bin_dir/lb_walk.exe" --graph torus:8x8 --seeds 2
+expect_exit 0 "$bin_dir/lb_inspect.exe" --graph random:64,4,7
+expect_exit 0 "$bin_dir/lb_verify.exe" --graph torus:4x6 --steps 200
+
 echo "== sharded CLI smoke: 4 shards, checkpoint + resume =="
 ckpt=$(mktemp -t lb_ci_ckpt.XXXXXX)
 trap 'rm -f "$ckpt" "$ckpt.prev"' EXIT

@@ -99,7 +99,8 @@ let port_t =
 
 let graph_t =
   Arg.(value & opt string "cycle:64"
-       & info [ "graph" ] ~docv:"SPEC" ~doc:"Graph spec (Harness grammar).")
+       & info [ "graph" ] ~docv:"SPEC"
+           ~doc:("Graph: " ^ Harness.Experiment.graph_grammar ^ "."))
 
 let init_t =
   Arg.(value & opt string "point:4096"

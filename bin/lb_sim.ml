@@ -28,23 +28,6 @@ let non_negative what v =
   if v < 0 then spec_fail "%s must be non-negative (got %d)" what v;
   v
 
-(* Spec parsing lives in Harness.Experiment so lb_cluster and lb_node
-   accept the same grammar; these wrappers only adapt the error shape. *)
-let parse_graph s =
-  match Harness.Experiment.graph_of_string s with
-  | Ok spec -> spec
-  | Error m -> raise (Spec_error m)
-
-let parse_init s =
-  match Harness.Experiment.init_of_string s with
-  | Ok spec -> spec
-  | Error m -> raise (Spec_error m)
-
-let parse_algo ~self_loops ~seed s =
-  match Harness.Experiment.algo_of_string ?self_loops ~seed s with
-  | Ok f -> Ok (fun d -> f ~degree:d)
-  | Error m -> Error m
-
 let parse_horizon steps horizon =
   match (steps, horizon) with
   | Some s, None ->
@@ -181,41 +164,51 @@ let dump_loads_to path loads =
   | () -> ()
   | exception Sys_error msg -> die (Printf.sprintf "--dump-loads: %s" msg)
 
-let print_summary ~graph_label ~algo_label ~n ~degree ~self_loops ~gap
-    ~initial_discrepancy ~horizon ~target ~time_to_target
-    (result : Core.Engine.result) =
-  Printf.printf "graph:        %s (n=%d, d=%d)\n" graph_label n degree;
-  Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n" algo_label self_loops
-    (degree + self_loops);
-  Printf.printf "spectral gap: µ = %.6g\n" gap;
-  Printf.printf "initial K:    %d\n" initial_discrepancy;
-  Printf.printf "steps run:    %d (horizon %d)\n" result.Core.Engine.steps_run horizon;
-  Printf.printf "final disc:   %d\n"
-    (Core.Loads.discrepancy result.Core.Engine.final_loads);
+(* The one tail of the closed-system paths (plain, sharded, faulted,
+   net): the summary, the path's own report lines, the series and the
+   --dump-loads file.  Each path runs its exit checks after it. *)
+let finish (b : Harness.Experiment.built) ~horizon ~target ~series ~dump_loads
+    ~time_to_target ~report (r : Core.Engine.result) =
+  let n = Graphs.Graph.n b.graph and degree = Graphs.Graph.degree b.graph in
+  Printf.printf "graph:        %s (n=%d, d=%d)\n"
+    (Harness.Experiment.graph_name b.spec) n degree;
+  Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n" b.name b.self_loops
+    (degree + b.self_loops);
+  Printf.printf "spectral gap: µ = %.6g\n"
+    (Harness.Experiment.spectral_gap ~graph:b.graph ~self_loops:b.self_loops);
+  Printf.printf "initial K:    %d\n" (Core.Loads.discrepancy b.init);
+  Printf.printf "steps run:    %d (horizon %d)\n" r.Core.Engine.steps_run horizon;
+  Printf.printf "final disc:   %d\n" (Core.Loads.discrepancy r.Core.Engine.final_loads);
   (match target with
   | Some t ->
     Printf.printf "time to ≤%d:  %s\n" t
       (match time_to_target with Some tt -> string_of_int tt | None -> "not reached")
   | None -> ());
-  if result.Core.Engine.min_load_seen < 0 then
-    Printf.printf "NEGATIVE LOAD observed (min %d)\n" result.Core.Engine.min_load_seen;
-  match result.Core.Engine.fairness with
+  if r.Core.Engine.min_load_seen < 0 then
+    Printf.printf "NEGATIVE LOAD observed (min %d)\n" r.Core.Engine.min_load_seen;
+  (match r.Core.Engine.fairness with
   | Some rep -> Format.printf "fairness audit:@\n%a@." Core.Fairness.pp_report rep
-  | None -> ()
+  | None -> ());
+  List.iter print_endline report;
+  if series then begin
+    print_endline "step,discrepancy";
+    Array.iter (fun (t, d) -> Printf.printf "%d,%d\n" t d) r.Core.Engine.series
+  end;
+  match dump_loads with Some p -> dump_loads_to p r.Core.Engine.final_loads | None -> ()
 
-let run_sharded ~audit ~target ~series ~dump_loads ~shards ~strategy ~checkpoint_path
-    ~checkpoint_every ~resume ~graph_spec ~algo_spec ~init_spec ~horizon_spec () =
-  let g = Harness.Experiment.build_graph graph_spec in
-  let n = Graphs.Graph.n g in
-  let init = Harness.Experiment.build_init init_spec ~n in
-  let make_balancer () = Harness.Experiment.build_balancer algo_spec g ~init in
-  let probe = make_balancer () in
-  let self_loops = probe.Core.Balancer.self_loops in
-  let steps =
-    Harness.Experiment.horizon_steps ~graph:g ~self_loops ~init horizon_spec
+let run_plain ~audit ~target ~steps ~finish (b : Harness.Experiment.built) =
+  let result, time_to_target =
+    Harness.Experiment.with_target ?target ~init:b.init (fun ~hook ->
+        Core.Engine.run ~audit
+          ~sample_every:(max 1 (steps / 50))
+          ?hook ~graph:b.graph ~balancer:(b.make_balancer ()) ~init:b.init ~steps ())
   in
-  let part = Shard.Partition.make ~strategy ~shards g in
-  let pstats = Shard.Partition.stats part g in
+  finish ~time_to_target ~report:[] result
+
+let run_sharded ~audit ~target ~shards ~strategy ~checkpoint_path ~checkpoint_every
+    ~resume ~steps ~finish (b : Harness.Experiment.built) =
+  let part = Shard.Partition.make ~strategy ~shards b.graph in
+  let pstats = Shard.Partition.stats part b.graph in
   Printf.printf "shards:       %d (%s partition, %d cut edges, imbalance %.3f)\n"
     shards
     (Shard.Partition.strategy_name strategy)
@@ -248,66 +241,42 @@ let run_sharded ~audit ~target ~series ~dump_loads ~shards ~strategy ~checkpoint
             Printf.sprintf " (from rotated copy %s)" (Shard.Checkpoint.prev_path path));
         Some r.Shard.Checkpoint.snapshot
   in
-  let first_hit = ref None in
-  let hook =
-    match target with
-    | Some tgt ->
-      Some
-        (fun t loads ->
-          if !first_hit = None && Core.Loads.discrepancy loads <= tgt then
-            first_hit := Some t)
-    | None -> None
-  in
   let t0 = Unix.gettimeofday () in
-  let result =
-    Shard.Shard_engine.run ~audit
-      ~sample_every:(max 1 (steps / 64))
-      ?hook ~strategy ?checkpoint ?resume:resume_snap ~shards ~graph:g
-      ~make_balancer ~init ~steps ()
+  let result, time_to_target =
+    Harness.Experiment.with_target ?target ~init:b.init (fun ~hook ->
+        Shard.Shard_engine.run ~audit
+          ~sample_every:(max 1 (steps / 64))
+          ?hook ~strategy ?checkpoint ?resume:resume_snap ~shards ~graph:b.graph
+          ~make_balancer:b.make_balancer ~init:b.init ~steps ())
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  let time_to_target =
-    match target with
-    | None -> None
-    | Some tgt -> if Core.Loads.discrepancy init <= tgt then Some 0 else !first_hit
-  in
-  print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
-    ~algo_label:probe.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
-    ~self_loops
-    ~gap:(Harness.Experiment.spectral_gap ~graph:g ~self_loops)
-    ~initial_discrepancy:(Core.Loads.discrepancy init)
-    ~horizon:steps ~target ~time_to_target result;
   let steps_executed =
     result.Core.Engine.steps_run
     - (match resume_snap with Some s -> s.Shard.Checkpoint.step | None -> 0)
   in
-  if elapsed > 0.0 && steps_executed > 0 then
-    Printf.printf "throughput:   %.0f steps/sec (%.2fs wall)\n"
-      (float_of_int steps_executed /. elapsed)
-      elapsed;
-  (match dump_loads with
-  | Some p -> dump_loads_to p result.Core.Engine.final_loads
-  | None -> ());
-  if series then begin
-    print_endline "step,discrepancy";
-    Array.iter (fun (t, d) -> Printf.printf "%d,%d\n" t d) result.Core.Engine.series
-  end
-
-let run_faulted ~series ~dump_loads ~shards ~strategy ~fault_specs ~fault_seed ~recovery_eps
-    ~require_recovery ~graph_spec ~algo_spec ~init_spec ~horizon_spec () =
-  let g = Harness.Experiment.build_graph graph_spec in
-  let n = Graphs.Graph.n g in
-  let init = Harness.Experiment.build_init init_spec ~n in
-  let make_balancer () = Harness.Experiment.build_balancer algo_spec g ~init in
-  let probe = make_balancer () in
-  let self_loops = probe.Core.Balancer.self_loops in
-  let steps =
-    Harness.Experiment.horizon_steps ~graph:g ~self_loops ~init horizon_spec
+  let report =
+    if elapsed > 0.0 && steps_executed > 0 then
+      [ Printf.sprintf "throughput:   %.0f steps/sec (%.2fs wall)"
+          (float_of_int steps_executed /. elapsed)
+          elapsed ]
+    else []
   in
-  let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:g fault_specs in
-  Printf.printf "fault plan:   %d events, seed %d (%s)\n" (List.length plan)
-    fault_seed
-    (String.concat "; " (List.map Faults.Schedule.spec_to_string fault_specs));
+  finish ~time_to_target ~report result
+
+let print_fault_plan ~fault_seed ~count what fault_specs =
+  Printf.printf "fault plan:   %d %s, seed %d (%s)\n" count what fault_seed
+    (String.concat "; " (List.map Faults.Schedule.spec_to_string fault_specs))
+
+let print_network net_cfg =
+  Printf.printf "network:      %s; %s; staleness σ=%d; net seed %d\n"
+    (Net.Channel.config_to_string net_cfg.Net.Async_engine.channel)
+    (Net.Protocol.config_to_string net_cfg.Net.Async_engine.protocol)
+    net_cfg.Net.Async_engine.staleness net_cfg.Net.Async_engine.seed
+
+let run_faulted ~shards ~strategy ~fault_specs ~fault_seed ~recovery_eps
+    ~require_recovery ~steps ~finish (b : Harness.Experiment.built) =
+  let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:b.graph fault_specs in
+  print_fault_plan ~fault_seed ~count:(List.length plan) "events" fault_specs;
   let mode =
     match shards with
     | None -> Faults.Engine.Sequential
@@ -319,67 +288,26 @@ let run_faulted ~series ~dump_loads ~shards ~strategy ~fault_specs ~fault_seed ~
   let report =
     Faults.Engine.run ~mode ?eps:recovery_eps
       ~sample_every:(max 1 (steps / 64))
-      ~graph:g ~make_balancer ~plan ~init ~steps ()
+      ~graph:b.graph ~make_balancer:b.make_balancer ~plan ~init:b.init ~steps ()
   in
-  print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
-    ~algo_label:probe.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
-    ~self_loops
-    ~gap:(Harness.Experiment.spectral_gap ~graph:g ~self_loops)
-    ~initial_discrepancy:(Core.Loads.discrepancy init)
-    ~horizon:steps ~target:None ~time_to_target:None report.Faults.Engine.result;
-  List.iter print_endline (Faults.Engine.report_lines report);
-  if series then begin
-    print_endline "step,discrepancy";
-    Array.iter
-      (fun (t, d) -> Printf.printf "%d,%d\n" t d)
-      report.Faults.Engine.result.Core.Engine.series
-  end;
-  (match dump_loads with
-  | Some p -> dump_loads_to p report.Faults.Engine.result.Core.Engine.final_loads
-  | None -> ());
+  finish ~time_to_target:None ~report:(Faults.Engine.report_lines report)
+    report.Faults.Engine.result;
   if require_recovery && not (Faults.Engine.all_recovered report) then begin
     prerr_endline "lb_sim: --require-recovery: some fault episodes did not recover";
     exit 3
   end
 
-let run_net ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~graph_spec ~algo_spec
-    ~init_spec ~horizon_spec () =
-  let g = Harness.Experiment.build_graph graph_spec in
-  let n = Graphs.Graph.n g in
-  let init = Harness.Experiment.build_init init_spec ~n in
-  let balancer = Harness.Experiment.build_balancer algo_spec g ~init in
-  let self_loops = balancer.Core.Balancer.self_loops in
-  let steps =
-    Harness.Experiment.horizon_steps ~graph:g ~self_loops ~init horizon_spec
-  in
+let run_net ~net_cfg ~fault_specs ~fault_seed ~steps ~finish (b : Harness.Experiment.built) =
   if fault_specs <> [] then
-    Printf.printf "fault plan:   %d specs, seed %d (%s)\n"
-      (List.length fault_specs) fault_seed
-      (String.concat "; " (List.map Faults.Schedule.spec_to_string fault_specs));
-  let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:g fault_specs in
-  Printf.printf "network:      %s; %s; staleness σ=%d; net seed %d\n"
-    (Net.Channel.config_to_string net_cfg.Net.Async_engine.channel)
-    (Net.Protocol.config_to_string net_cfg.Net.Async_engine.protocol)
-    net_cfg.Net.Async_engine.staleness net_cfg.Net.Async_engine.seed;
+    print_fault_plan ~fault_seed ~count:(List.length fault_specs) "specs" fault_specs;
+  let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:b.graph fault_specs in
+  print_network net_cfg;
   let report =
-    Net.Async_engine.run ~config:net_cfg ~plan ~graph:g ~balancer ~init ~steps ()
+    Net.Async_engine.run ~config:net_cfg ~plan ~graph:b.graph
+      ~balancer:(b.make_balancer ()) ~init:b.init ~steps ()
   in
-  print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
-    ~algo_label:balancer.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
-    ~self_loops
-    ~gap:(Harness.Experiment.spectral_gap ~graph:g ~self_loops)
-    ~initial_discrepancy:(Core.Loads.discrepancy init)
-    ~horizon:steps ~target:None ~time_to_target:None report.Net.Async_engine.result;
-  List.iter print_endline (Net.Async_engine.report_lines report);
-  if series then begin
-    print_endline "step,discrepancy";
-    Array.iter
-      (fun (t, d) -> Printf.printf "%d,%d\n" t d)
-      report.Net.Async_engine.result.Core.Engine.series
-  end;
-  (match dump_loads with
-  | Some p -> dump_loads_to p report.Net.Async_engine.result.Core.Engine.final_loads
-  | None -> ());
+  finish ~time_to_target:None ~report:(Net.Async_engine.report_lines report)
+    report.Net.Async_engine.result;
   if not report.Net.Async_engine.drained then
     die_invariant
       (Printf.sprintf "network failed to quiesce within %d drain rounds"
@@ -393,12 +321,8 @@ let run_net ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~graph_spec ~a
 
 let run_workload ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~arrivals
     ~arrival_rate ~burst ~hotspot ~lifetime ~warmup ~workload_seed ~rounds
-    ~graph_spec ~algo_spec ~init_spec () =
-  let g = Harness.Experiment.build_graph graph_spec in
-  let n = Graphs.Graph.n g in
-  let init = Harness.Experiment.build_init init_spec ~n in
-  let balancer = Harness.Experiment.build_balancer algo_spec g ~init in
-  let self_loops = balancer.Core.Balancer.self_loops in
+    (b : Harness.Experiment.built) =
+  let g = b.graph and init = b.init and self_loops = b.self_loops in
   (* One master stream; arrival and lifetime draws come from split
      children, so adding a --lifetime never perturbs the arrival trace. *)
   let master = Prng.Splitmix.create workload_seed in
@@ -429,16 +353,11 @@ let run_workload ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~arrivals
   in
   let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:g fault_specs in
   if fault_specs <> [] then
-    Printf.printf "fault plan:   %d events, seed %d (%s)\n" (List.length plan)
-      fault_seed
-      (String.concat "; " (List.map Faults.Schedule.spec_to_string fault_specs));
+    print_fault_plan ~fault_seed ~count:(List.length plan) "events" fault_specs;
   let mode =
     match net_cfg with
     | Some config ->
-      Printf.printf "network:      %s; %s; staleness σ=%d; net seed %d\n"
-        (Net.Channel.config_to_string config.Net.Async_engine.channel)
-        (Net.Protocol.config_to_string config.Net.Async_engine.protocol)
-        config.Net.Async_engine.staleness config.Net.Async_engine.seed;
+      print_network config;
       Harness.Openrun.Lossy { config; plan }
     | None ->
       if fault_specs <> [] then Harness.Openrun.Faulty { plan }
@@ -449,12 +368,13 @@ let run_workload ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~arrivals
       ?warmup:(Option.map (fun k -> Workload.Engine.Fixed_warmup k) warmup)
       ~arrival ~lifetime ~rounds ()
   in
-  let r = Harness.Openrun.run ~mode ~config ~graph:g ~balancer ~init () in
+  let r =
+    Harness.Openrun.run ~mode ~config ~graph:g ~balancer:(b.make_balancer ()) ~init ()
+  in
   let band = Harness.Faultsweep.theorem_band ~graph:g ~self_loops in
   Printf.printf "graph:        %s (n=%d, d=%d)\n"
-    (Harness.Experiment.graph_name graph_spec) n (Graphs.Graph.degree g);
-  Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n" balancer.Core.Balancer.name
-    self_loops
+    (Harness.Experiment.graph_name b.spec) (Graphs.Graph.n g) (Graphs.Graph.degree g);
+  Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n" b.name self_loops
     (Graphs.Graph.degree g + self_loops);
   Printf.printf "workload:     arrivals %s; lifetime %s; seed %d\n"
     (Workload.Arrival.name arrival)
@@ -556,17 +476,9 @@ let run graph algo self_loops init steps horizon target audit series seed shards
     dup reorder staleness retx_timeout retx_backoff net_seed no_degrade arrivals
     arrival_rate burst hotspot lifetime warmup workload_seed metrics metrics_out
     metrics_every profile dump_loads =
-  match
-    try Ok (parse_graph graph, parse_init init) with Spec_error m -> Error m
-  with
+  match parse_horizon steps horizon with
   | Error msg -> die msg
-  | Ok (graph_spec, init_spec) ->
-  match parse_algo ~self_loops ~seed algo with
-  | Error msg -> die msg
-  | Ok algo_of_degree -> (
-    match parse_horizon steps horizon with
-    | Error msg -> die msg
-    | Ok horizon_spec ->
+  | Ok horizon_spec -> (
     match parse_partition partition with
     | Error msg -> die msg
     | Ok strategy ->
@@ -719,90 +631,37 @@ let run graph algo self_loops init steps horizon target audit series seed shards
         shard_count > 1 || checkpoint_path <> None || resume
         || shards <> None || domains <> None
       in
+      let b =
+        match Harness.Experiment.build ?self_loops ~seed ~graph ~init ~algo () with
+        | Ok b -> b
+        | Error msg -> die msg
+      in
       setup_obs ~metrics ~metrics_out ~metrics_every ~profile;
       try
-        let g = Harness.Experiment.build_graph graph_spec in
-        let degree = Graphs.Graph.degree g in
-        let algo_spec = algo_of_degree degree in
         if workloaded then
           run_workload ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~arrivals
             ~arrival_rate ~burst ~hotspot ~lifetime ~warmup
             ~workload_seed:(Option.value ~default:1 workload_seed)
             ~rounds:(Option.value ~default:1000 steps)
-            ~graph_spec ~algo_spec ~init_spec ()
+            b
         else
-        match net_cfg with
-        | Some net_cfg ->
-          run_net ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~graph_spec
-            ~algo_spec ~init_spec ~horizon_spec ()
-        | None ->
-        if faulted then
-          run_faulted ~series ~dump_loads
-            ~shards:(if sharded then Some shard_count else None)
-            ~strategy ~fault_specs ~fault_seed ~recovery_eps ~require_recovery
-            ~graph_spec ~algo_spec ~init_spec ~horizon_spec ()
-        else if sharded then
-          run_sharded ~audit ~target ~series ~dump_loads ~shards:shard_count ~strategy
-            ~checkpoint_path ~checkpoint_every ~resume ~graph_spec ~algo_spec
-            ~init_spec ~horizon_spec ()
-        else begin
-          let outcome =
-            Harness.Experiment.run ~audit ?target ~graph:graph_spec ~algo:algo_spec
-              ~init:init_spec ~horizon:horizon_spec ()
+          let steps =
+            Harness.Experiment.horizon_steps ~graph:b.graph ~self_loops:b.self_loops
+              ~init:b.init horizon_spec
           in
-          Printf.printf "graph:        %s (n=%d, d=%d)\n"
-            outcome.Harness.Experiment.graph_label outcome.Harness.Experiment.n
-            outcome.Harness.Experiment.degree;
-          Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n"
-            outcome.Harness.Experiment.algo_label
-            outcome.Harness.Experiment.self_loops
-            (outcome.Harness.Experiment.degree + outcome.Harness.Experiment.self_loops);
-          Printf.printf "spectral gap: µ = %.6g\n" outcome.Harness.Experiment.gap;
-          Printf.printf "initial K:    %d\n"
-            outcome.Harness.Experiment.initial_discrepancy;
-          Printf.printf "steps run:    %d (horizon %d)\n"
-            outcome.Harness.Experiment.steps outcome.Harness.Experiment.horizon;
-          Printf.printf "final disc:   %d\n"
-            outcome.Harness.Experiment.final_discrepancy;
-          (match target with
-          | Some t ->
-            Printf.printf "time to ≤%d:  %s\n" t
-              (match outcome.Harness.Experiment.time_to_target with
-              | Some tt -> string_of_int tt
-              | None -> "not reached")
-          | None -> ());
-          if outcome.Harness.Experiment.min_load_seen < 0 then
-            Printf.printf "NEGATIVE LOAD observed (min %d)\n"
-              outcome.Harness.Experiment.min_load_seen;
-          (match outcome.Harness.Experiment.fairness with
-          | Some rep ->
-            Format.printf "fairness audit:@\n%a@." Core.Fairness.pp_report rep
-          | None -> ());
-          if series || dump_loads <> None then begin
-            (* Deterministic re-run with the same spec: a fine-grained
-               series for plotting, and the final vector for
-               --dump-loads (identical to the summarized run, audit
-               included, so it takes the same engine path). *)
-            let n = Graphs.Graph.n g in
-            let init_loads = Harness.Experiment.build_init init_spec ~n in
-            let balancer =
-              Harness.Experiment.build_balancer algo_spec g ~init:init_loads
-            in
-            let r =
-              Core.Engine.run ~audit
-                ~sample_every:(max 1 (outcome.Harness.Experiment.horizon / 50))
-                ~graph:g ~balancer ~init:init_loads
-                ~steps:outcome.Harness.Experiment.horizon ()
-            in
-            (match dump_loads with
-            | Some p -> dump_loads_to p r.Core.Engine.final_loads
-            | None -> ());
-            if series then begin
-              print_endline "step,discrepancy";
-              Array.iter (fun (t, d) -> Printf.printf "%d,%d\n" t d) r.Core.Engine.series
-            end
-          end
-        end
+          let finish = finish b ~horizon:steps ~target ~series ~dump_loads in
+          match net_cfg with
+          | Some net_cfg -> run_net ~net_cfg ~fault_specs ~fault_seed ~steps ~finish b
+          | None ->
+          if faulted then
+            run_faulted
+              ~shards:(if sharded then Some shard_count else None)
+              ~strategy ~fault_specs ~fault_seed ~recovery_eps ~require_recovery ~steps
+              ~finish b
+          else if sharded then
+            run_sharded ~audit ~target ~shards:shard_count ~strategy ~checkpoint_path
+              ~checkpoint_every ~resume ~steps ~finish b
+          else run_plain ~audit ~target ~steps ~finish b
       with
       | Spec_error msg | Invalid_argument msg -> die msg
       | Shard.Checkpoint.Checkpoint_error err ->
@@ -817,7 +676,7 @@ let graph_arg =
     required
     & opt (some string) None
     & info [ "graph"; "g" ] ~docv:"SPEC"
-        ~doc:"Graph: cycle:N, torus:AxA, hypercube:R, complete:N, clique:N,D, random:N,D[,SEED].")
+        ~doc:("Graph: " ^ Harness.Experiment.graph_grammar ^ "."))
 
 let algo_arg =
   Arg.(

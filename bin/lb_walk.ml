@@ -5,36 +5,12 @@
      lb_walk --graph torus:8x8 --seeds 5
 *)
 
-exception Spec_error of string
-
-let parse_graph s =
-  let fail () = raise (Spec_error (Printf.sprintf "bad graph spec %S" s)) in
-  let int_of x = match int_of_string_opt x with Some v -> v | None -> fail () in
-  match String.split_on_char ':' s with
-  | [ "cycle"; n ] -> Graphs.Gen.cycle (int_of n)
-  | [ "hypercube"; r ] -> Graphs.Gen.hypercube (int_of r)
-  | [ "complete"; n ] -> Graphs.Gen.complete (int_of n)
-  | [ "torus"; dims ] -> (
-    match String.split_on_char 'x' dims with
-    | [ a; b ] -> Graphs.Gen.torus [ int_of a; int_of b ]
-    | _ -> fail ())
-  | [ "random"; args ] -> (
-    match String.split_on_char ',' args with
-    | [ n; d ] ->
-      Graphs.Gen.random_regular (Prng.Splitmix.create 1) ~n:(int_of n) ~d:(int_of d)
-    | [ n; d; seed ] ->
-      Graphs.Gen.random_regular
-        (Prng.Splitmix.create (int_of seed))
-        ~n:(int_of n) ~d:(int_of d)
-    | _ -> fail ())
-  | _ -> fail ()
-
 let run graph seeds start =
-  match try Ok (parse_graph graph) with Spec_error m -> Error m with
+  match Harness.Experiment.graph graph with
   | Error msg ->
     prerr_endline ("lb_walk: " ^ msg);
     exit 2
-  | Ok g ->
+  | Ok (_, g) ->
     let n = Graphs.Graph.n g in
     if start < 0 || start >= n then begin
       prerr_endline "lb_walk: start node out of range";
@@ -76,7 +52,7 @@ let graph_arg =
     required
     & opt (some string) None
     & info [ "graph"; "g" ] ~docv:"SPEC"
-        ~doc:"Graph: cycle:N, torus:AxB, hypercube:R, complete:N, random:N,D[,SEED].")
+        ~doc:("Graph: " ^ Harness.Experiment.graph_grammar ^ "."))
 
 let seeds_arg =
   Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"K" ~doc:"Random-walk replicas.")

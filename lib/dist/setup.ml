@@ -24,43 +24,21 @@ type built = {
 }
 
 let build (spec : spec) =
-  match Harness.Experiment.graph_of_string spec.graph with
-  | Error m -> Error ("--graph: " ^ m)
-  | Ok gspec -> (
-    match Harness.Experiment.init_of_string spec.init with
-    | Error m -> Error ("--init: " ^ m)
-    | Ok ispec -> (
-      match
-        Harness.Experiment.algo_of_string ?self_loops:spec.self_loops
-          ~seed:spec.seed spec.algo
-      with
-      | Error m -> Error ("--algo: " ^ m)
-      | Ok algo_of_degree ->
-        let graph = Harness.Experiment.build_graph gspec in
-        let n = Graphs.Graph.n graph in
-        let degree = Graphs.Graph.degree graph in
-        let init = Harness.Experiment.build_init ispec ~n in
-        let algo = algo_of_degree ~degree in
-        let make_balancer () =
-          Harness.Experiment.build_balancer algo graph ~init
-        in
-        let probe = make_balancer () in
-        if not (Core.Balancer.resumable probe) then
-          Error
-            (Printf.sprintf
-               "balancer %s cannot be checkpointed; the cluster requires a \
-                resumable balancer"
-               probe.Core.Balancer.name)
-        else
-          Ok
-            {
-              graph;
-              init;
-              make_balancer;
-              name = probe.Core.Balancer.name;
-              self_loops =
-                Harness.Experiment.algo_self_loops algo ~graph_degree:degree;
-            }))
+  match
+    Harness.Experiment.build ?self_loops:spec.self_loops ~seed:spec.seed
+      ~graph:spec.graph ~init:spec.init ~algo:spec.algo ()
+  with
+  | Error m -> Error m
+  | Ok b when not (Core.Balancer.resumable (b.make_balancer ())) ->
+    Error
+      (Printf.sprintf
+         "balancer %s cannot be checkpointed; the cluster requires a resumable \
+          balancer"
+         b.name)
+  | Ok b ->
+    Ok
+      { graph = b.graph; init = b.init; make_balancer = b.make_balancer; name = b.name;
+        self_loops = b.self_loops }
 
 (* The closed-system discrepancy band the chaos run must re-enter:
    the paper's deterministic-scheme bound for this graph and d°. *)

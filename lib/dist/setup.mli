@@ -23,8 +23,9 @@ type built = {
 }
 
 val build : spec -> (built, string) result
-(** Rejects unparseable specs and non-resumable balancers (the cluster
-    needs checkpoint/rollback capability). *)
+(** {!Harness.Experiment.build}, which rejects unparseable and
+    unbuildable specs, plus a check that the balancer is resumable (the
+    cluster needs checkpoint/rollback capability). *)
 
 val theorem_band : built -> int
 (** The closed-system discrepancy band ({!Harness.Faultsweep.theorem_band}). *)

@@ -1,6 +1,6 @@
 type graph_spec =
   | Cycle of int
-  | Torus2d of int
+  | Torus2d of int * int
   | Hypercube of int
   | Random_regular of { n : int; d : int; seed : int }
   | Complete of int
@@ -8,7 +8,7 @@ type graph_spec =
 
 let build_graph = function
   | Cycle n -> Graphs.Gen.cycle n
-  | Torus2d side -> Graphs.Gen.torus [ side; side ]
+  | Torus2d (a, b) -> Graphs.Gen.torus [ a; b ]
   | Hypercube r -> Graphs.Gen.hypercube r
   | Random_regular { n; d; seed } ->
     Graphs.Gen.random_regular (Prng.Splitmix.create seed) ~n ~d
@@ -17,7 +17,7 @@ let build_graph = function
 
 let graph_name = function
   | Cycle n -> Printf.sprintf "cycle(%d)" n
-  | Torus2d side -> Printf.sprintf "torus2d(%dx%d)" side side
+  | Torus2d (a, b) -> Printf.sprintf "torus2d(%dx%d)" a b
   | Hypercube r -> Printf.sprintf "hypercube(%d)" r
   | Random_regular { n; d; seed } -> Printf.sprintf "random-%d-regular(%d,seed=%d)" d n seed
   | Complete n -> Printf.sprintf "complete(%d)" n
@@ -43,16 +43,6 @@ let algo_name = function
   | Random_rounding { self_loops; seed } ->
     Printf.sprintf "random-rounding(d°=%d,seed=%d)" self_loops seed
 
-let algo_self_loops spec ~graph_degree =
-  match spec with
-  | Rotor_router { self_loops }
-  | Send_floor { self_loops }
-  | Send_round { self_loops }
-  | Mimic { self_loops }
-  | Random_extra { self_loops; _ }
-  | Random_rounding { self_loops; _ } -> self_loops
-  | Rotor_router_star -> graph_degree
-
 let build_balancer spec g ~init =
   match spec with
   | Rotor_router { self_loops } -> Core.Rotor_router.make g ~self_loops
@@ -70,11 +60,6 @@ type init_spec =
   | Bimodal of { high : int; low : int }
   | Uniform_random of { total : int; seed : int }
 
-let init_name = function
-  | Point_mass total -> Printf.sprintf "point-mass(%d)" total
-  | Bimodal { high; low } -> Printf.sprintf "bimodal(%d/%d)" high low
-  | Uniform_random { total; seed } -> Printf.sprintf "uniform-random(%d,seed=%d)" total seed
-
 let build_init spec ~n =
   match spec with
   | Point_mass total -> Core.Loads.point_mass ~n ~total
@@ -84,9 +69,14 @@ let build_init spec ~n =
 
 (* --- spec parsers ---
 
-   One grammar shared by every front end (lb_sim, lb_cluster, lb_node),
-   so a spec string that works on the single-process simulator selects
-   the identical experiment on the distributed runtime. *)
+   One grammar shared by every front end, so a spec string that works
+   on the single-process simulator selects the identical experiment on
+   the distributed runtime.  The parsers check only the shape of a
+   spec; the value ranges are the constructors' preconditions, which
+   [graph] and [build] turn into [Error]. *)
+
+let graph_grammar =
+  "cycle:N, torus:AxB, hypercube:R, complete:N, clique:N,D or random:N,D[,SEED]"
 
 exception Parse_fail of string
 
@@ -94,50 +84,30 @@ let parse_fail fmt = Printf.ksprintf (fun m -> raise (Parse_fail m)) fmt
 
 let parsed f = match f () with v -> Ok v | exception Parse_fail m -> Error m
 
-let p_positive what v =
-  if v <= 0 then parse_fail "%s must be positive (got %d)" what v;
-  v
-
 let p_non_negative what v =
   if v < 0 then parse_fail "%s must be non-negative (got %d)" what v;
   v
 
 let graph_of_string s =
   parsed @@ fun () ->
-  let fail () =
-    parse_fail
-      "bad graph spec %S (expected cycle:N, torus:AxB, hypercube:R, complete:N, \
-       clique:N,D or random:N,D,SEED)"
-      s
-  in
+  let fail () = parse_fail "bad graph spec %S (expected %s)" s graph_grammar in
   let int_of x = match int_of_string_opt x with Some v -> v | None -> fail () in
   match String.split_on_char ':' s with
-  | [ "cycle"; n ] -> Cycle (p_positive "cycle size" (int_of n))
-  | [ "hypercube"; r ] -> Hypercube (p_positive "hypercube dimension" (int_of r))
-  | [ "complete"; n ] -> Complete (p_positive "complete-graph size" (int_of n))
+  | [ "cycle"; n ] -> Cycle (int_of n)
+  | [ "hypercube"; r ] -> Hypercube (int_of r)
+  | [ "complete"; n ] -> Complete (int_of n)
   | [ "torus"; dims ] -> (
     match String.split_on_char 'x' dims with
-    | [ a; b ] when a = b -> Torus2d (p_positive "torus side" (int_of a))
+    | [ a; b ] -> Torus2d (int_of a, int_of b)
     | _ -> fail ())
   | [ "clique"; args ] -> (
     match String.split_on_char ',' args with
-    | [ n; d ] ->
-      Clique_circulant
-        { n = p_positive "clique n" (int_of n);
-          d = p_positive "clique degree" (int_of d) }
+    | [ n; d ] -> Clique_circulant { n = int_of n; d = int_of d }
     | _ -> fail ())
   | [ "random"; args ] -> (
     match String.split_on_char ',' args with
-    | [ n; d ] ->
-      Random_regular
-        { n = p_positive "graph size" (int_of n);
-          d = p_positive "graph degree" (int_of d);
-          seed = 1 }
-    | [ n; d; seed ] ->
-      Random_regular
-        { n = p_positive "graph size" (int_of n);
-          d = p_positive "graph degree" (int_of d);
-          seed = int_of seed }
+    | [ n; d ] -> Random_regular { n = int_of n; d = int_of d; seed = 1 }
+    | [ n; d; seed ] -> Random_regular { n = int_of n; d = int_of d; seed = int_of seed }
     | _ -> fail ())
   | _ -> fail ()
 
@@ -188,6 +158,57 @@ let algo_of_string ?self_loops ?(seed = 1) s =
           send-floor, send-round, mimic, random-extra or random-rounding)"
          other)
 
+(* --- the one builder ---
+
+   Every binary turns its spec strings into objects here.  A
+   well-formed spec can still break a constructor's precondition
+   (cycle:2, send-round with d° < d); that comes back as [Error] with
+   the constructor's message, never as an exception. *)
+
+let constructed f =
+  match f () with
+  | v -> Ok v
+  | exception (Invalid_argument m | Failure m) -> Error m
+
+let flag name = Result.map_error (fun m -> name ^ ": " ^ m)
+
+let graph s =
+  let ( let* ) = Result.bind in
+  let* spec = graph_of_string s in
+  let* g = constructed (fun () -> build_graph spec) in
+  Ok (spec, g)
+
+type built = {
+  spec : graph_spec;
+  graph : Graphs.Graph.t;
+  init : int array;
+  make_balancer : unit -> Core.Balancer.t;
+  name : string;
+  self_loops : int;
+}
+
+let build ?self_loops ?seed ~graph:graph_s ~init ~algo () =
+  let ( let* ) = Result.bind in
+  let* spec, g = flag "--graph" (graph graph_s) in
+  let* ispec = flag "--init" (init_of_string init) in
+  let* algo_of_degree = flag "--algo" (algo_of_string ?self_loops ?seed algo) in
+  let aspec = algo_of_degree ~degree:(Graphs.Graph.degree g) in
+  let* init = flag "--init" (constructed (fun () -> build_init ispec ~n:(Graphs.Graph.n g))) in
+  let* first = flag "--algo" (constructed (fun () -> build_balancer aspec g ~init)) in
+  (* The balancer built to check the spec is handed out by the first
+     [make_balancer] call, so a run builds no balancer it does not use. *)
+  let spare = ref (Some first) in
+  let make_balancer () =
+    match !spare with
+    | Some b ->
+      spare := None;
+      b
+    | None -> build_balancer aspec g ~init
+  in
+  Ok
+    { spec; graph = g; init; make_balancer; name = first.Core.Balancer.name;
+      self_loops = first.Core.Balancer.self_loops }
+
 type horizon =
   | Fixed_steps of int
   | Mixing_multiple of float
@@ -233,69 +254,15 @@ let horizon_steps ~graph ~self_loops ~init = function
      | Some t -> max 1 (int_of_float (ceil (c *. float_of_int (max t 1))))
      | None -> invalid_arg "Experiment.horizon_steps: continuous process did not converge")
 
-type outcome = {
-  graph_label : string;
-  algo_label : string;
-  n : int;
-  degree : int;
-  self_loops : int;
-  gap : float;
-  steps : int;
-  horizon : int;
-  initial_discrepancy : int;
-  final_discrepancy : int;
-  time_to_target : int option;
-  min_load_seen : int;
-  fairness : Core.Fairness.report option;
-}
-
-let run_prepared ?(audit = false) ?target ?(stop_early = false) ~graph ~graph_label
-    ~balancer ~init ~steps () =
-  let first_hit = ref None in
-  let hook =
-    match target with
-    | Some tgt when not stop_early ->
-      Some
-        (fun t loads ->
-          if !first_hit = None && Core.Loads.discrepancy loads <= tgt then
-            first_hit := Some t)
-    | _ -> None
-  in
-  let stop_at = if stop_early then target else None in
-  let result =
-    Core.Engine.run ~audit
-      ~sample_every:(max 1 (steps / 64))
-      ?hook ?stop_at_discrepancy:stop_at ~graph ~balancer ~init ~steps ()
-  in
-  let time_to_target =
-    match (target, stop_early) with
-    | None, _ -> None
-    | Some _, true -> result.Core.Engine.reached_target
-    | Some tgt, false ->
-      if Core.Loads.discrepancy init <= tgt then Some 0 else !first_hit
-  in
-  {
-    graph_label;
-    algo_label = balancer.Core.Balancer.name;
-    n = Graphs.Graph.n graph;
-    degree = Graphs.Graph.degree graph;
-    self_loops = balancer.Core.Balancer.self_loops;
-    gap = spectral_gap ~graph ~self_loops:balancer.Core.Balancer.self_loops;
-    steps = result.Core.Engine.steps_run;
-    horizon = steps;
-    initial_discrepancy = Core.Loads.discrepancy init;
-    final_discrepancy = Core.Loads.discrepancy result.Core.Engine.final_loads;
-    time_to_target;
-    min_load_seen = result.Core.Engine.min_load_seen;
-    fairness = result.Core.Engine.fairness;
-  }
-
-let run ?audit ?target ~graph ~algo ~init ~horizon () =
-  let g = build_graph graph in
-  let n = Graphs.Graph.n g in
-  let init_loads = build_init init ~n in
-  let balancer = build_balancer algo g ~init:init_loads in
-  let self_loops = balancer.Core.Balancer.self_loops in
-  let steps = horizon_steps ~graph:g ~self_loops ~init:init_loads horizon in
-  run_prepared ?audit ?target ~graph:g ~graph_label:(graph_name graph) ~balancer
-    ~init:init_loads ~steps ()
+(* The time-to-target rule of every closed-system run: the first step
+   whose discrepancy is <= the target, or 0 if the start already is. *)
+let with_target ?target ~init run =
+  match target with
+  | None -> (run ~hook:None, None)
+  | Some tgt ->
+    let first_hit = ref None in
+    let hook t loads =
+      if !first_hit = None && Core.Loads.discrepancy loads <= tgt then first_hit := Some t
+    in
+    let result = run ~hook:(Some hook) in
+    (result, if Core.Loads.discrepancy init <= tgt then Some 0 else !first_hit)

@@ -1,12 +1,13 @@
 (** Experiment registry: declarative specifications of graphs,
-    algorithms, initial distributions and horizons, with one-call
-    execution.  Both the CLI and the benchmark harness drive the system
-    through this module, so every reported number is reproducible from a
-    printable spec. *)
+    algorithms, initial distributions and horizons, and the one place
+    that turns their spec strings into built objects.  Every binary
+    builds through {!build} (or {!graph}), so one spec string selects the
+    identical experiment everywhere and every reported number is
+    reproducible from a printable spec. *)
 
 type graph_spec =
   | Cycle of int
-  | Torus2d of int (** side length; n = side² *)
+  | Torus2d of int * int (** sides A and B; n = A·B *)
   | Hypercube of int (** dimension; n = 2^r *)
   | Random_regular of { n : int; d : int; seed : int }
   | Complete of int
@@ -26,10 +27,6 @@ type algo_spec =
 
 val algo_name : algo_spec -> string
 
-val algo_self_loops : algo_spec -> graph_degree:int -> int
-(** The d° an algo spec will use on a graph of the given degree
-    (resolves Rotor_router_star's implicit d° = d). *)
-
 val build_balancer : algo_spec -> Graphs.Graph.t -> init:int array -> Core.Balancer.t
 (** [init] is required because the mimic scheme simulates the continuous
     process from the same start. *)
@@ -39,18 +36,20 @@ type init_spec =
   | Bimodal of { high : int; low : int }
   | Uniform_random of { total : int; seed : int }
 
-val init_name : init_spec -> string
 val build_init : init_spec -> n:int -> int array
 
-(** {2 Spec parsing}
+(** {2 Spec parsing and building}
 
-    The CLI grammar, shared by every front end (lb_sim, lb_cluster,
-    lb_node) so one spec string selects the identical experiment
-    everywhere. *)
+    The CLI grammar, shared by every front end.  The parsers check the
+    shape of a spec only; value ranges are the constructors'
+    preconditions, reported by {!graph} and {!build}. *)
+
+val graph_grammar : string
+(** The graph spec grammar, for [--graph] docs and spec errors:
+    ["cycle:N, torus:AxB, hypercube:R, complete:N, clique:N,D or
+    random:N,D[,SEED]"] (the random seed defaults to 1). *)
 
 val graph_of_string : string -> (graph_spec, string) result
-(** ["cycle:N"], ["torus:AxA"], ["hypercube:R"], ["complete:N"],
-    ["clique:N,D"], ["random:N,D[,SEED]"]. *)
 
 val init_of_string : string -> (init_spec, string) result
 (** ["point:TOTAL"], ["bimodal:HIGH,LOW"], ["random:TOTAL[,SEED]"]. *)
@@ -61,6 +60,37 @@ val algo_of_string :
     result still needs the graph degree because the default d° is
     degree-dependent; [self_loops] overrides it, [seed] (default 1)
     seeds the randomized schemes. *)
+
+val graph : string -> (graph_spec * Graphs.Graph.t, string) result
+(** Parse and build a graph spec.  A well-formed spec the generator
+    rejects (["cycle:2"], ["random:5,3"]) is [Error] with the
+    generator's message; never raises. *)
+
+type built = {
+  spec : graph_spec;
+  graph : Graphs.Graph.t;
+  init : int array;
+  make_balancer : unit -> Core.Balancer.t;
+      (** A fresh balancer per call, all identical; the first call returns
+          the instance {!build} made to check the spec. *)
+  name : string;  (** balancer display name *)
+  self_loops : int;  (** the balancer's d° *)
+}
+
+val build :
+  ?self_loops:int ->
+  ?seed:int ->
+  graph:string ->
+  init:string ->
+  algo:string ->
+  unit ->
+  (built, string) result
+(** Parse and build a graph, initial vector and balancer from their spec
+    strings ([self_loops] and [seed] as in {!algo_of_string}).  A parse
+    error or a failed constructor precondition (["cycle:2"],
+    ["send-round"] with d° < d) is [Error], prefixed with the flag it
+    came from (["--graph: "], ["--init: "], ["--algo: "]); never
+    raises. *)
 
 type horizon =
   | Fixed_steps of int
@@ -78,47 +108,13 @@ val horizon_steps :
 val spectral_gap : graph:Graphs.Graph.t -> self_loops:int -> float
 (** Memoized µ of the balancing graph. *)
 
-type outcome = {
-  graph_label : string;
-  algo_label : string;
-  n : int;
-  degree : int;
-  self_loops : int;
-  gap : float;
-  steps : int;                 (** steps actually executed *)
-  horizon : int;               (** steps requested *)
-  initial_discrepancy : int;
-  final_discrepancy : int;
-  time_to_target : int option; (** if [target] was given *)
-  min_load_seen : int;
-  fairness : Core.Fairness.report option;
-}
-
-val run :
-  ?audit:bool ->
+val with_target :
   ?target:int ->
-  graph:graph_spec ->
-  algo:algo_spec ->
-  init:init_spec ->
-  horizon:horizon ->
-  unit ->
-  outcome
-(** Build everything from specs and execute one simulation.  [target]
-    both records the first hitting time of that discrepancy and, when
-    given, lets the run continue to the full horizon (no early stop) so
-    the final discrepancy is still meaningful. *)
-
-val run_prepared :
-  ?audit:bool ->
-  ?target:int ->
-  ?stop_early:bool ->
-  graph:Graphs.Graph.t ->
-  graph_label:string ->
-  balancer:Core.Balancer.t ->
   init:int array ->
-  steps:int ->
-  unit ->
-  outcome
-(** Same outcome record for callers that built the pieces themselves
-    (sweeps that reuse one graph).  [stop_early] (default false) stops
-    as soon as [target] is reached. *)
+  (hook:(int -> int array -> unit) option -> 'r) ->
+  'r * int option
+(** [with_target ?target ~init run] calls [run ~hook], where [hook]
+    (present iff [target] is) watches every step's loads, and returns
+    the result with the time to target: [Some 0] if [init] is already
+    within [target], else the first step whose discrepancy is
+    [<= target], [None] if none was or no [target] was given. *)

@@ -102,7 +102,7 @@ let prob_lt1 what s =
 
 let nodes = function
   | Harness.Experiment.Cycle n -> n
-  | Harness.Experiment.Torus2d side -> side * side
+  | Harness.Experiment.Torus2d (a, b) -> a * b
   | Harness.Experiment.Hypercube r -> 1 lsl r
   | Harness.Experiment.Random_regular { n; _ } -> n
   | Harness.Experiment.Complete n -> n
@@ -111,11 +111,7 @@ let nodes = function
 let check_graph pos = function
   | Cycle n -> Harness.Experiment.Cycle (int_min "cycle size" 3 n)
   | Torus (a, b) ->
-    let a' = int_min "torus side" 3 a and b' = int_min "torus side" 3 b in
-    if a' <> b' then
-      fail pos "torus sides must be equal (the harness grammar is torus:NxN), got %dx%d"
-        a' b';
-    Harness.Experiment.Torus2d a'
+    Harness.Experiment.Torus2d (int_min "torus side" 3 a, int_min "torus side" 3 b)
   | Hypercube r ->
     let r' = int_min "hypercube dimension" 1 r in
     if r' > 16 then fail r.spos "hypercube dimension must be <= 16 (got %d)" r';

@@ -5,7 +5,7 @@ let f = float_scalar
 
 let graph_of_spec : Harness.Experiment.graph_spec -> graph = function
   | Harness.Experiment.Cycle n -> Cycle (i n)
-  | Harness.Experiment.Torus2d side -> Torus (i side, i side)
+  | Harness.Experiment.Torus2d (a, b) -> Torus (i a, i b)
   | Harness.Experiment.Hypercube r -> Hypercube (i r)
   | Harness.Experiment.Complete n -> Complete (i n)
   | Harness.Experiment.Clique_circulant { n; d } -> Clique (i n, i d)

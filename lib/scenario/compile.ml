@@ -226,7 +226,7 @@ let plan ?root (file : Ast.file) =
 
 let spec_of_graph = function
   | Harness.Experiment.Cycle n -> Printf.sprintf "cycle:%d" n
-  | Harness.Experiment.Torus2d side -> Printf.sprintf "torus:%dx%d" side side
+  | Harness.Experiment.Torus2d (a, b) -> Printf.sprintf "torus:%dx%d" a b
   | Harness.Experiment.Hypercube r -> Printf.sprintf "hypercube:%d" r
   | Harness.Experiment.Complete n -> Printf.sprintf "complete:%d" n
   | Harness.Experiment.Clique_circulant { n; d } -> Printf.sprintf "clique:%d,%d" n d

@@ -28,7 +28,7 @@ let gen_graph rng =
 
 let graph_nodes = function
   | Cycle { sv = Int n; _ } -> n
-  | Torus ({ sv = Int a; _ }, _) -> a * a
+  | Torus ({ sv = Int a; _ }, { sv = Int b; _ }) -> a * b
   | Hypercube { sv = Int r; _ } -> 1 lsl r
   | Complete { sv = Int n; _ } -> n
   | Clique ({ sv = Int n; _ }, _) -> n

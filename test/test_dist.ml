@@ -980,7 +980,14 @@ let test_setup_rejects () =
       seed = 1; self_loops = None };
   bad
     { Dist.Setup.graph = "cycle:8"; init = "point:256"; algo = "nonsense";
-      seed = 1; self_loops = None }
+      seed = 1; self_loops = None };
+  (* well-formed but unbuildable: Error, not an exception *)
+  bad
+    { Dist.Setup.graph = "cycle:2"; init = "point:256"; algo = "rotor-router";
+      seed = 1; self_loops = None };
+  bad
+    { Dist.Setup.graph = "cycle:8"; init = "point:256"; algo = "send-round";
+      seed = 1; self_loops = Some 1 }
 
 (* ---------- End-to-end over real sockets ---------- *)
 

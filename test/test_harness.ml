@@ -133,7 +133,8 @@ let test_graph_specs_build () =
       check_int (Harness.Experiment.graph_name spec ^ " d") expect_d (Graphs.Graph.degree g))
     [
       (Harness.Experiment.Cycle 10, 10, 2);
-      (Harness.Experiment.Torus2d 4, 16, 4);
+      (Harness.Experiment.Torus2d (4, 4), 16, 4);
+      (Harness.Experiment.Torus2d (4, 6), 24, 4);
       (Harness.Experiment.Hypercube 3, 8, 3);
       (Harness.Experiment.Complete 7, 7, 6);
       (Harness.Experiment.Random_regular { n = 20; d = 4; seed = 1 }, 20, 4);
@@ -151,7 +152,7 @@ let test_init_specs_build () =
   check_int "random total" 55 (Core.Loads.total y)
 
 let test_algo_specs_build () =
-  let g = Harness.Experiment.build_graph (Harness.Experiment.Torus2d 3) in
+  let g = Harness.Experiment.build_graph (Harness.Experiment.Torus2d (3, 3)) in
   let init = Core.Loads.point_mass ~n:9 ~total:90 in
   List.iter
     (fun spec ->
@@ -191,38 +192,86 @@ let test_horizon_continuous () =
   in
   check_bool "continuous positive" true (t >= 2 && t < 1000)
 
+let build_ok ?self_loops ~graph ~init ~algo () =
+  match Harness.Experiment.build ?self_loops ~graph ~init ~algo () with
+  | Ok b -> b
+  | Error m -> Alcotest.fail m
+
 let test_run_end_to_end () =
-  let outcome =
-    Harness.Experiment.run ~audit:true ~target:14
-      ~graph:(Harness.Experiment.Torus2d 4)
-      ~algo:(Harness.Experiment.Rotor_router { self_loops = 4 })
-      ~init:(Harness.Experiment.Point_mass 640)
-      ~horizon:(Harness.Experiment.Mixing_multiple 4.0)
-      ()
+  let b =
+    build_ok ~self_loops:4 ~graph:"torus:4x4" ~init:"point:640" ~algo:"rotor-router" ()
   in
-  check_int "n" 16 outcome.Harness.Experiment.n;
-  check_int "initial discrepancy" 640 outcome.Harness.Experiment.initial_discrepancy;
-  check_bool "gap recorded" true (outcome.Harness.Experiment.gap > 0.0);
-  check_bool "final small" true (outcome.Harness.Experiment.final_discrepancy < 100);
-  check_bool "fairness present" true (outcome.Harness.Experiment.fairness <> None);
-  (match outcome.Harness.Experiment.fairness with
+  let self_loops = b.Harness.Experiment.self_loops in
+  let graph = b.Harness.Experiment.graph and init = b.Harness.Experiment.init in
+  let steps =
+    Harness.Experiment.horizon_steps ~graph ~self_loops ~init
+      (Harness.Experiment.Mixing_multiple 4.0)
+  in
+  let r, _ =
+    Harness.Experiment.with_target ~target:14 ~init (fun ~hook ->
+        Core.Engine.run ~audit:true ?hook ~graph
+          ~balancer:(b.Harness.Experiment.make_balancer ())
+          ~init ~steps ())
+  in
+  check_int "n" 16 (Graphs.Graph.n graph);
+  check_int "initial discrepancy" 640 (Core.Loads.discrepancy init);
+  check_bool "gap recorded" true (Harness.Experiment.spectral_gap ~graph ~self_loops > 0.0);
+  check_bool "final small" true (Core.Loads.discrepancy r.Core.Engine.final_loads < 100);
+  check_bool "fairness present" true (r.Core.Engine.fairness <> None);
+  (match r.Core.Engine.fairness with
   | Some rep -> check_bool "delta ≤ 1" true (rep.Core.Fairness.cumulative_delta <= 1)
   | None -> ());
-  check_bool "ran to horizon" true
-    (outcome.Harness.Experiment.steps = outcome.Harness.Experiment.horizon)
+  check_bool "ran to horizon" true (r.Core.Engine.steps_run = steps)
 
 let test_run_records_time_to_target () =
-  let outcome =
-    Harness.Experiment.run ~target:20
-      ~graph:(Harness.Experiment.Complete 8)
-      ~algo:(Harness.Experiment.Rotor_router { self_loops = 7 })
-      ~init:(Harness.Experiment.Point_mass 800)
-      ~horizon:(Harness.Experiment.Fixed_steps 500)
-      ()
+  let b =
+    build_ok ~self_loops:7 ~graph:"complete:8" ~init:"point:800" ~algo:"rotor-router" ()
   in
-  match outcome.Harness.Experiment.time_to_target with
+  let init = b.Harness.Experiment.init in
+  let _, time_to_target =
+    Harness.Experiment.with_target ~target:20 ~init (fun ~hook ->
+        Core.Engine.run ?hook ~graph:b.Harness.Experiment.graph
+          ~balancer:(b.Harness.Experiment.make_balancer ())
+          ~init ~steps:500 ())
+  in
+  match time_to_target with
   | None -> Alcotest.fail "K8 should hit 20 quickly"
   | Some t -> check_bool "positive hit time" true (t > 0 && t < 500)
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
+  at 0
+
+(* Well-formed specs that break a constructor's precondition come back
+   as Error with the constructor's own message; nothing raises. *)
+let test_builder_rejects_unbuildable () =
+  let expect_error ?self_loops ?(init = "point:64") ?(algo = "rotor-router") graph
+      message =
+    let label = Printf.sprintf "%s %s" graph algo in
+    match Harness.Experiment.build ?self_loops ~graph ~init ~algo () with
+    | Ok _ -> Alcotest.fail (label ^ " built")
+    | Error m ->
+      check_bool (Printf.sprintf "%s: %S carries %S" label m message) true
+        (contains m message)
+    | exception e -> Alcotest.fail (label ^ " raised " ^ Printexc.to_string e)
+  in
+  expect_error "cycle:2" "Gen.cycle: n must be >= 3";
+  expect_error "torus:2x2" "Gen.torus: sides must be >= 3";
+  expect_error "hypercube:0" "Gen.hypercube: r must be >= 1";
+  expect_error "complete:1" "Gen.complete: n must be >= 2";
+  expect_error "clique:4,5" "Gen.clique_circulant: n too small for d";
+  expect_error "random:5,3" "Gen.random_regular: n * d must be even";
+  expect_error ~algo:"send-round" ~self_loops:1 "cycle:8"
+    "Send_round.make: needs d° >= d";
+  expect_error ~algo:"send-floor" ~self_loops:0 "cycle:8"
+    "Send_floor.make: needs at least one self-loop";
+  (match Harness.Experiment.graph "cycle:2" with
+  | Error m -> check_bool "graph-only path" true (contains m "Gen.cycle")
+  | Ok _ -> Alcotest.fail "cycle:2 built");
+  let b = build_ok ~graph:"torus:4x6" ~init:"point:64" ~algo:"rotor-router" () in
+  check_int "torus:4x6 n" 24 (Graphs.Graph.n b.Harness.Experiment.graph);
+  check_int "torus:4x6 d" 4 (Graphs.Graph.degree b.Harness.Experiment.graph)
 
 let () =
   Alcotest.run "harness"
@@ -259,5 +308,7 @@ let () =
           Alcotest.test_case "continuous horizon" `Quick test_horizon_continuous;
           Alcotest.test_case "end to end" `Quick test_run_end_to_end;
           Alcotest.test_case "time to target" `Quick test_run_records_time_to_target;
+          Alcotest.test_case "unbuildable specs are errors" `Quick
+            test_builder_rejects_unbuildable;
         ] );
     ]

@@ -343,6 +343,53 @@ let test_dist_compile_only () =
       cmd
   | None -> Alcotest.fail "expected a cluster command"
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
+  at 0
+
+let test_rectangular_torus () =
+  (* torus(A, B) with A <> B checks, runs, and lowers to torus:AxB *)
+  let src =
+    "let main = scenario {\n  graph torus(4, 6)\n  init point(96)\n  balancer \
+     rotor-router\n  steps 30\n}\n"
+  in
+  (match Co.plan (parse_ok src) with
+  | Ok [ ({ Co.payload = Co.Run t; _ } as it) ] -> (
+    check_int "n" 24 (Graphs.Graph.n (Harness.Experiment.build_graph t.C.graph));
+    check_bool "describe prints torus:4x6" true
+      (List.exists (fun l -> contains l "graph=torus:4x6") (Co.describe it));
+    match Co.execute t with
+    | Ok o -> check_bool "conserved" true o.Co.conserved
+    | Error m -> Alcotest.fail m)
+  | Ok _ -> Alcotest.fail "expected one runnable item"
+  | Error (m, _) -> Alcotest.fail m);
+  let t =
+    plan_one
+      "let main = scenario {\n  graph torus(4, 6)\n  init point(96)\n  balancer \
+       rotor-router\n  rounds 9\n  seed 3\n  dist { shards 2 }\n}\n"
+  in
+  (match Co.cluster_command t with
+  | Some cmd -> check_bool "cluster command" true (contains cmd "--graph torus:4x6 ")
+  | None -> Alcotest.fail "expected a cluster command");
+  (* and a chaos finding on torus:4x6 maps back to torus(4, 6) *)
+  let s =
+    { Dist.Chaos.index = 0; shards = 2; rounds = 9; graph = "torus:4x6";
+      init = "point:96"; algo = "rotor-router"; seed = 3; drop = 0.0;
+      delay_prob = 0.0; delay_max = 0.0; faults = []; partitions = [] }
+  in
+  match Scenario.Cluster.file s with
+  | Ok [ { A.body = { e = A.Scenario clauses; _ }; _ } ] ->
+    check_bool "graph_of_spec" true
+      (List.exists
+         (fun c ->
+           match c.A.c with
+           | A.Graph (A.Torus ({ sv = A.Int 4; _ }, { sv = A.Int 6; _ })) -> true
+           | _ -> false)
+         clauses)
+  | Ok _ -> Alcotest.fail "expected one scenario binding"
+  | Error m -> Alcotest.fail m
+
 (* ---------- chaos findings as .lbs ---------- *)
 
 let test_chaos_emitter_roundtrip () =
@@ -449,7 +496,8 @@ let () =
           Alcotest.test_case "open = Openrun (lb_sim PRNG)" `Quick
             test_open_matches_handwritten;
           Alcotest.test_case "replayable" `Quick test_execute_replayable;
-          Alcotest.test_case "dist is compile-only" `Quick test_dist_compile_only ] );
+          Alcotest.test_case "dist is compile-only" `Quick test_dist_compile_only;
+          Alcotest.test_case "rectangular torus" `Quick test_rectangular_torus ] );
       ( "chaos-lbs",
         [ Alcotest.test_case "hand-made round-trip" `Quick test_chaos_emitter_roundtrip;
           Alcotest.test_case "generated all check" `Quick test_chaos_emitter_generated ] );
